@@ -32,6 +32,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .geometry import Pose, Sim3, batch_skew, numeric_jacobian, so3, solve_least_squares, umeyama
+from .mapbuild.sfm import gps_weight_for
 from .mapbuild.tracks import _UnionFind
 from .mapbuild.types import SolverDiverged, Submap
 
@@ -129,12 +130,8 @@ def _gps_rows(submaps, params: FusionParams):
             prior = sm.gps_priors.get(fid)
             if prior is None:
                 continue
-            if params.gps_weight is not None:
-                w = params.gps_weight
-            else:
-                sigma = max(float(prior[3]), params.gps_sigma_floor)
-                w = 1.0 / (sigma * sigma)
-            rows.append((sm.submap_id, sm.poses[fid].t, np.asarray(prior[:3], dtype=float), np.sqrt(w)))
+            sqrt_w = np.sqrt(gps_weight_for(prior[3], params))
+            rows.append((sm.submap_id, sm.poses[fid].t, np.asarray(prior[:3], dtype=float), sqrt_w))
     return rows
 
 
@@ -234,7 +231,7 @@ class _FusionProblem:
         return jac
 
 
-def _initial_transform(submap: Submap, params: FusionParams) -> Sim3:
+def _initial_transform(submap: Submap) -> Sim3:
     """Closed-form alignment of the submap's camera positions onto its GPS fixes."""
     src = []
     dst = []
@@ -354,7 +351,7 @@ def fuse(
             continue
         problem = _FusionProblem(component, links_of[component], rows_of[component], params.rotation_weight)
         init = {
-            sid: warm_start[sid] if sid in warm_start else _initial_transform(by_id[sid], params)
+            sid: warm_start[sid] if sid in warm_start else _initial_transform(by_id[sid])
             for sid in component
         }
         result = solve_least_squares(
@@ -433,23 +430,23 @@ def build_tile_index(submaps: dict, transforms: dict, tile_size: float, margin: 
 def _fused_map(submaps: dict, params: FusionParams, previous: GlobalMap | None = None) -> GlobalMap:
     """Fuse and tile-index `submaps`, re-solving only what changed since `previous`.
 
-    If `previous` was fused under the same params, a component of it whose
-    submaps are all still here as the same objects is passed to `fuse` as
-    solved, so it keeps its transforms; if it is still a component of the
-    new link graph, they come back unchanged. Every other component is
-    warm-started from `previous` where it can be.
+    Only a component of `previous` whose submap ids are all still here
+    passes its transforms on as a warm start. If `previous` was fused under
+    the same params and the component's submaps are the same objects, it is
+    passed to `fuse` as solved, so it keeps its transforms; if it is still a
+    component of the new link graph, they come back unchanged. A component
+    that lost a member starts from the GPS alignment, as in a fresh fuse:
+    its old transforms were pulled by links that are gone.
     """
     warm = {}
     solved = []
     if previous is not None:
         old = previous.submaps
-        warm = {sid: t for sid, t in previous.transforms.items() if sid in submaps}
-        if previous.params == params:
-            solved = [
-                component
-                for component in link_components(old, collect_links(old.values()))
-                if all(submaps.get(sid) is old[sid] for sid in component)
-            ]
+        for component in link_components(old, collect_links(old.values())):
+            if all(sid in submaps for sid in component):
+                warm.update((sid, previous.transforms[sid]) for sid in component)
+                if previous.params == params and all(submaps[sid] is old[sid] for sid in component):
+                    solved.append(component)
     transforms, report = fuse(list(submaps.values()), params=params, warm_start=warm, solved=solved)
     tiles, circles = build_tile_index(submaps, transforms, params.tile_size, params.bounding_margin)
     return GlobalMap(
@@ -493,10 +490,10 @@ def update_map(global_map: GlobalMap, new_submaps, params: FusionParams | None =
 def remove_submaps(global_map: GlobalMap, ids, params: FusionParams | None = None) -> GlobalMap:
     """Drop submaps and re-run fusion on the remainder.
 
-    Only the components that lost a member are re-solved, warm-started from
-    the current transforms; the solve runs to the stationary point, so the
-    result matches fusing the remainder from scratch up to rounding.
-    Components that lost nothing keep their transforms bit for bit.
+    Only the components that lost a member are re-solved, from the GPS
+    alignment as in `build_global_map`, so their transforms equal those of
+    a fresh fuse of the remainder. Components that lost nothing keep their
+    transforms bit for bit.
     """
     ids = list(ids)
     for sid in ids:

@@ -10,34 +10,18 @@ from .least_squares import (
     robust_cost,
     solve_least_squares,
 )
-from .pose import Pose, Sim3, umeyama
+from .pose import GRAVITY_WORLD, Pose, Sim3, umeyama
 from .reproject import (
     BEHIND_RESIDUAL,
     batch_skew,
+    camera_projection,
     pose_jacobian,
     pose_residuals,
     projection_terms,
     refine_pose,
     reprojection_errors,
 )
-from .robust import HUBER_METERS, HUBER_PIXELS, huber, huber_loss_many, huber_weight_many
-
-
-class Landmark:
-    """3D localization landmark: world position, descriptor, unique id."""
-
-    __slots__ = ("id", "position", "descriptor")
-
-    def __init__(self, id, position, descriptor):
-        import numpy as np
-
-        self.id = int(id)
-        self.position = np.asarray(position, dtype=float).reshape(3)
-        self.descriptor = np.asarray(descriptor, dtype=float).ravel()
-
-    def __repr__(self):
-        return f"Landmark(id={self.id}, position={self.position.tolist()})"
-
+from .robust import huber, huber_loss_many, huber_weight_many
 
 __all__ = [
     "so3",
@@ -45,15 +29,13 @@ __all__ = [
     "MIN_DEPTH",
     "project",
     "backproject",
+    "GRAVITY_WORLD",
     "Pose",
     "Sim3",
     "umeyama",
-    "Landmark",
     "huber",
     "huber_loss_many",
     "huber_weight_many",
-    "HUBER_PIXELS",
-    "HUBER_METERS",
     "NonFinite",
     "RobustPrefix",
     "SolveResult",
@@ -62,6 +44,7 @@ __all__ = [
     "solve_least_squares",
     "BEHIND_RESIDUAL",
     "batch_skew",
+    "camera_projection",
     "projection_terms",
     "pose_residuals",
     "pose_jacobian",

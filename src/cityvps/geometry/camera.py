@@ -38,22 +38,6 @@ class Camera:
             return None
         return np.array([self.focal * x / z + self.cx, self.focal * y / z + self.cy])
 
-    def project_camera_frame_many(self, points_cam):
-        """Vectorized projection; rows with depth <= MIN_DEPTH yield NaN pixels."""
-        points_cam = np.asarray(points_cam, dtype=float)
-        z = points_cam[:, 2]
-        valid = z > MIN_DEPTH
-        zsafe = np.where(valid, z, 1.0)
-        px = np.empty((points_cam.shape[0], 2))
-        px[:, 0] = self.focal * points_cam[:, 0] / zsafe + self.cx
-        px[:, 1] = self.focal * points_cam[:, 1] / zsafe + self.cy
-        px[~valid] = np.nan
-        return px
-
-    def in_bounds(self, pixel):
-        u, v = pixel
-        return 0.0 <= u < self.width and 0.0 <= v < self.height
-
     def ray(self, pixel):
         """Unit ray direction in the camera frame through a pixel."""
         u, v = pixel

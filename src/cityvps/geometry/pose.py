@@ -8,11 +8,15 @@ the orientation and similarity-transforming the position.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import so3
+
+# Gravity direction in the world frame, whose +z axis points up.
+GRAVITY_WORLD = np.array([0.0, 0.0, -1.0])
+GRAVITY_WORLD.setflags(write=False)
 
 
 def _as_vec3(v):

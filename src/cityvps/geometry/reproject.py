@@ -6,6 +6,11 @@ x_cam = R(rotvec)^T (X - t). Observations whose point falls behind the
 camera get a large constant residual with zero Jacobian: trial steps that
 push points behind the camera raise the cost and get rejected instead of
 producing non-finite values.
+
+``camera_projection`` is the one projection kernel: camera-frame points to
+pixels, their dpixel/dx_cam blocks and validity. Single-pose refinement
+here, bundle adjustment and the simulator's observations all go through it;
+each caller forms its own camera-frame points.
 """
 
 from __future__ import annotations
@@ -15,7 +20,7 @@ import numpy as np
 from . import so3
 from .camera import Camera
 from .least_squares import RobustPrefix, solve_least_squares
-from .pose import Pose
+from .pose import GRAVITY_WORLD, Pose
 
 BEHIND_RESIDUAL = 1e4
 MIN_BA_DEPTH = 1e-6
@@ -34,14 +39,13 @@ def batch_skew(v: np.ndarray) -> np.ndarray:
     return out
 
 
-def projection_terms(points_world, rot, t, camera: Camera):
-    """Camera-frame points, pixel projections, and dpixel/dx_cam blocks.
+def camera_projection(xc, camera: Camera):
+    """Pixel projections, dpixel/dx_cam blocks and validity of camera-frame points.
 
-    Returns (x_cam (n,3), pix (n,2), A (n,2,3), valid (n,)) where invalid
-    rows (depth <= MIN_BA_DEPTH) have zero A and NaN pix.
+    Returns (pix (n,2), A (n,2,3), valid (n,)) where invalid rows
+    (depth <= MIN_BA_DEPTH) have NaN pix and zero A.
     """
-    points_world = np.asarray(points_world, dtype=float)
-    xc = (points_world - t) @ rot  # row-wise R^T (X - t)
+    xc = np.asarray(xc, dtype=float)
     z = xc[:, 2]
     valid = z > MIN_BA_DEPTH
     zs = np.where(valid, z, 1.0)
@@ -51,12 +55,22 @@ def projection_terms(points_world, rot, t, camera: Camera):
     pix[:, 1] = f * xc[:, 1] / zs + camera.cy
     pix[~valid] = np.nan
     a = np.zeros((xc.shape[0], 2, 3))
-    a[:, 0, 0] = f / zs
-    a[:, 0, 2] = -f * xc[:, 0] / (zs * zs)
-    a[:, 1, 1] = f / zs
-    a[:, 1, 2] = -f * xc[:, 1] / (zs * zs)
+    a[:, 0, 0] = a[:, 1, 1] = f / zs
+    zz = zs * zs
+    a[:, 0, 2] = -f * xc[:, 0] / zz
+    a[:, 1, 2] = -f * xc[:, 1] / zz
     a[~valid] = 0.0
-    return xc, pix, a, valid
+    return pix, a, valid
+
+
+def projection_terms(points_world, rot, t, camera: Camera):
+    """Camera-frame points of world points, and their camera_projection.
+
+    Returns (x_cam (n,3), pix (n,2), A (n,2,3), valid (n,)).
+    """
+    points_world = np.asarray(points_world, dtype=float)
+    xc = (points_world - t) @ rot  # row-wise R^T (X - t)
+    return (xc, *camera_projection(xc, camera))
 
 
 def pose_residuals(params, points_world, pixels, camera: Camera):
@@ -100,7 +114,6 @@ def refine_pose(
     points_world = np.asarray(points_world, dtype=float)
     pixels = np.asarray(pixels, dtype=float)
     n = points_world.shape[0]
-    g_world = np.array([0.0, 0.0, -1.0])
 
     if gravity is None:
         residual_fn = lambda p: pose_residuals(p, points_world, pixels, camera)
@@ -112,13 +125,13 @@ def refine_pose(
 
         def residual_fn(p):
             r = pose_residuals(p, points_world, pixels, camera)
-            g_body = so3.exp(p[:3]).T @ g_world
+            g_body = so3.exp(p[:3]).T @ GRAVITY_WORLD
             return np.concatenate([r, g_sqrtw * (g_body - g_meas)])
 
         def jacobian_fn(p):
             j = pose_jacobian(p, points_world, pixels, camera)
             rot = so3.exp(p[:3])
-            g_body = rot.T @ g_world
+            g_body = rot.T @ GRAVITY_WORLD
             g_rows = np.zeros((3, 6))
             g_rows[:, :3] = g_sqrtw * (so3.skew(g_body) @ so3.right_jacobian(p[:3]))
             return np.vstack([j, g_rows])

@@ -4,11 +4,6 @@ from __future__ import annotations
 
 import numpy as np
 
-# Default scales: reprojection residuals in pixels, pose-synchronization
-# residuals in meters.
-HUBER_PIXELS = 2.0
-HUBER_METERS = 0.5
-
 
 def huber(norm, delta):
     """Huber loss and IRLS weight for a residual norm.

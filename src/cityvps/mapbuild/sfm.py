@@ -11,25 +11,24 @@ the GPS prior on camera positions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
 
 from ..geometry import (
+    BEHIND_RESIDUAL,
+    GRAVITY_WORLD,
     Camera,
     Pose,
     RobustPrefix,
     batch_skew,
-    pose_jacobian,
-    pose_residuals,
-    projection_terms,
+    camera_projection,
     refine_pose,
     reprojection_errors,
     so3,
     solve_least_squares,
 )
-from ..geometry.reproject import BEHIND_RESIDUAL
 from .types import FrameSubset, InsufficientOverlap, Submap, Track
 
 
@@ -61,7 +60,12 @@ class BuildParams:
     ba_rel_tol: float = 1e-10
 
 
-def gps_weight_for(sigma: float, params: BuildParams) -> float:
+def gps_weight_for(sigma: float, params) -> float:
+    """GPS prior weight of a fix with standard deviation `sigma`.
+
+    `params` is a BuildParams or a FusionParams; both carry ``gps_weight``
+    and ``gps_sigma_floor``.
+    """
     if params.gps_weight is not None:
         return params.gps_weight
     s = max(float(sigma), params.gps_sigma_floor)
@@ -87,7 +91,7 @@ def gravity_aligned_base(gravity_body) -> np.ndarray:
     """Some body-to-world rotation consistent with the measured gravity."""
     g = np.asarray(gravity_body, dtype=float)
     g = g / np.linalg.norm(g)
-    return so3.rotation_between(g, np.array([0.0, 0.0, -1.0]))
+    return so3.rotation_between(g, GRAVITY_WORLD)
 
 
 # ---------------------------------------------------------------------------
@@ -171,7 +175,6 @@ class _BAProblem:
         # Optional per-frame measured gravity direction (camera frame).
         self.gravity = None if gravity_meas is None else np.asarray(gravity_meas, dtype=float)
         self.gravity_sqrtw = float(gravity_sqrtw)
-        self.g_world = np.array([0.0, 0.0, -1.0])
 
     def pack(self, poses: dict, points: dict) -> np.ndarray:
         x = np.empty(6 * self.nf + 3 * self.nl)
@@ -201,45 +204,28 @@ class _BAProblem:
             ts[i] = x[6 * i + 3 : 6 * i + 6]
         return rots, jrs, ts
 
-    def residuals(self, x):
-        rots, _, ts = self._frame_arrays(x)
+    def _observed(self, x):
+        """Per-frame arrays, then each observation's rotation and camera-frame point."""
+        rots, jrs, ts = self._frame_arrays(x)
         pts = x[6 * self.nf :].reshape(self.nl, 3)
-        xw = pts[self.obs_l]
-        t = ts[self.obs_f]
         rot = rots[self.obs_f]
-        xc = np.einsum("nji,nj->ni", rot, xw - t)  # R^T (X - t)
-        z = xc[:, 2]
-        valid = z > 1e-6
-        zs = np.where(valid, z, 1.0)
-        f = self.camera.focal
-        proj = np.empty((self.nobs, 2))
-        proj[:, 0] = f * xc[:, 0] / zs + self.camera.cx
-        proj[:, 1] = f * xc[:, 1] / zs + self.camera.cy
+        xc = np.einsum("nji,nj->ni", rot, pts[self.obs_l] - ts[self.obs_f])  # R^T (X - t)
+        return rots, jrs, ts, rot, xc
+
+    def residuals(self, x):
+        rots, _, ts, _, xc = self._observed(x)
+        proj, _, valid = camera_projection(xc, self.camera)
         r_obs = np.where(valid[:, None], self.obs_px - proj, BEHIND_RESIDUAL)
         r_gps = (ts - self.gps) * self.gps_sqrtw[:, None]
         parts = [r_obs.ravel(), r_gps.ravel()]
         if self.gravity is not None:
-            g_body = np.einsum("nji,j->ni", rots, self.g_world)  # R^T g_w per frame
+            g_body = np.einsum("nji,j->ni", rots, GRAVITY_WORLD)  # R^T g_w per frame
             parts.append(((g_body - self.gravity) * self.gravity_sqrtw).ravel())
         return np.concatenate(parts)
 
     def jacobian(self, x):
-        rots, jrs, ts = self._frame_arrays(x)
-        pts = x[6 * self.nf :].reshape(self.nl, 3)
-        xw = pts[self.obs_l]
-        t = ts[self.obs_f]
-        rot = rots[self.obs_f]
-        xc = np.einsum("nji,nj->ni", rot, xw - t)
-        z = xc[:, 2]
-        valid = z > 1e-6
-        zs = np.where(valid, z, 1.0)
-        f = self.camera.focal
-        a = np.zeros((self.nobs, 2, 3))
-        a[:, 0, 0] = f / zs
-        a[:, 0, 2] = -f * xc[:, 0] / (zs * zs)
-        a[:, 1, 1] = f / zs
-        a[:, 1, 2] = -f * xc[:, 1] / (zs * zs)
-        a[~valid] = 0.0
+        rots, jrs, _, rot, xc = self._observed(x)
+        _, a, _ = camera_projection(xc, self.camera)
 
         rot_t = np.transpose(rot, (0, 2, 1))
         d_rho = -np.einsum("nij,njk->nik", a, batch_skew(xc) @ jrs[self.obs_f])
@@ -259,8 +245,7 @@ class _BAProblem:
             axis=1,
         )  # (nobs, 9)
         col_idx = np.repeat(col_block, 2, axis=0).ravel()
-        data = np.concatenate([np.concatenate([d_rho, d_t], axis=2), d_pt], axis=2)
-        data = data.transpose(0, 1, 2).reshape(self.nobs, 2, 9).reshape(-1)
+        data = np.concatenate([d_rho, d_t, d_pt], axis=2).reshape(-1)
 
         # GPS rows: d/dt = sqrt(w) I at rows 2*nobs + 3i.
         gps_rows = 2 * self.nobs + np.arange(3 * self.nf)
@@ -273,7 +258,7 @@ class _BAProblem:
         n_rows = 2 * self.nobs + 3 * self.nf
         if self.gravity is not None:
             # d(R^T g_w)/drho = skew(R^T g_w) Jr, 3x3 block per frame.
-            g_body = np.einsum("nji,j->ni", rots, self.g_world)
+            g_body = np.einsum("nji,j->ni", rots, GRAVITY_WORLD)
             blocks = self.gravity_sqrtw * (batch_skew(g_body) @ jrs)  # (F,3,3)
             g_rows = n_rows + np.repeat(np.arange(3 * self.nf), 3)
             g_cols = (6 * np.repeat(np.arange(self.nf), 9) + np.tile(np.arange(3), 3 * self.nf))
@@ -336,7 +321,7 @@ def _yaw_candidates(n: int):
     return [2.0 * np.pi * k / n for k in range(n)]
 
 
-def _matches_for_frame(frame_id, frames_by_id, frame_tracks, tracks_by_id, points):
+def _matches_for_frame(frame_id, frames_by_id, frame_tracks, points):
     pts = []
     pix = []
     for tid, oi in frame_tracks.get(frame_id, []):
@@ -382,7 +367,6 @@ def build_submap(
     frames_by_id: dict,
     camera: Camera,
     params: BuildParams | None = None,
-    seed: int = 0,
     submap_id: int | None = None,
 ) -> Submap:
     """Reconstruct one subset into a Submap; failures come back discarded.
@@ -514,7 +498,7 @@ def build_submap(
         count, neg_fid = max(candidates)
         fid = -neg_fid
         frame = frames_by_id[fid]
-        pts3d, pix = _matches_for_frame(fid, frames_by_id, frame_tracks, tracks_by_id, points)
+        pts3d, pix = _matches_for_frame(fid, frames_by_id, frame_tracks, points)
 
         # Initial rotation: INS chain from the nearest registered frame of the
         # same experience, else gravity + yaw grid scored on reprojection.

@@ -6,8 +6,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..geometry import Pose
-
 
 class InsufficientOverlap(RuntimeError):
     """No frame pair shares enough tracks to seed reconstruction."""
@@ -38,10 +36,6 @@ class Track:
 
     track_id: int
     observations: list  # (frame_id, observation_index) pairs
-    position: np.ndarray | None = None  # triangulated, submap frame
-
-    def frames(self):
-        return [fid for fid, _ in self.observations]
 
 
 @dataclass
@@ -85,10 +79,3 @@ class Submap:
 
     def positions(self) -> np.ndarray:
         return np.array([self.poses[fid].t for fid in self.frame_ids()])
-
-    def bounding_circle(self, margin: float = 20.0):
-        """(center_xy, radius) over reconstructed camera positions plus margin."""
-        pts = self.positions()[:, :2]
-        center = 0.5 * (pts.min(axis=0) + pts.max(axis=0))
-        radius = float(np.linalg.norm(pts - center, axis=1).max()) + margin
-        return center, radius

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..geometry import so3
+from ..geometry import GRAVITY_WORLD, so3
 from .types import Submap, VerificationReport
 
 
@@ -52,12 +52,11 @@ def verify_submap(submap: Submap, frames_by_id: dict, thresholds: VerifyThreshol
     if rel_angles and median_rel >= thresholds.rel_rot_deg:
         reasons.append(f"relative rotations disagree with INS (median {median_rel:.2f} deg)")
 
-    gravity_world = np.array([0.0, 0.0, -1.0])
     grav_angles = []
     for fid in submap.poses:
         measured = frames_by_id[fid].ins_gravity
         measured = measured / np.linalg.norm(measured)
-        reconstructed = submap.poses[fid].rotation.T @ gravity_world
+        reconstructed = submap.poses[fid].rotation.T @ GRAVITY_WORLD
         cosang = float(np.clip(np.dot(measured, reconstructed), -1.0, 1.0))
         grav_angles.append(np.degrees(np.arccos(cosang)))
     median_grav = float(np.median(grav_angles)) if grav_angles else float("nan")

@@ -6,8 +6,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from ..geometry import Camera, Pose, so3
-from .world import RouteNotInWorld, World, route_path
+from ..geometry import GRAVITY_WORLD, Camera, Pose, camera_projection, so3
+from .world import World, route_path
 
 # Globally unique frame ids: experience id * FRAME_ID_STRIDE + index.
 FRAME_ID_STRIDE = 1_000_000
@@ -87,15 +87,6 @@ class Experience:
     condition_label: str
     condition_value: float
     platform: str
-
-    def frame_by_id(self, frame_id: int) -> Frame:
-        for f in self.frames:
-            if f.frame_id == frame_id:
-                return f
-        raise KeyError(frame_id)
-
-    def gps_xy(self) -> np.ndarray:
-        return np.array([f.gps[:2] for f in self.frames])
 
 
 def _camera_orientation(heading: float) -> np.ndarray:
@@ -187,7 +178,6 @@ def simulate_experience(
         )
 
     yaw_amp = np.deg2rad(sim.yaw_amplitude_deg)
-    gravity_world = np.array([0.0, 0.0, -1.0])
     ins_sigma = np.deg2rad(noise.ins_rot_noise_deg)
 
     frames = []
@@ -201,13 +191,13 @@ def simulate_experience(
         # Observations of visible landmarks under the true pose.
         if len(world.landmarks):
             rel = lm_pos - position
-            dist = np.linalg.norm(rel, axis=1)
             cam_pts = rel @ rotation  # == R^T rel per landmark
-            pix = camera.project_camera_frame_many(cam_pts)
+            # Landmarks out of range or behind the camera are never visible: skip projecting them.
+            near = (np.linalg.norm(rel, axis=1) <= sim.max_obs_distance) & (cam_pts[:, 2] > 0.05)
+            pix = np.full((len(rel), 2), np.nan)
+            pix[near] = camera_projection(cam_pts[near], camera)[0]
             visible = (
-                (dist <= sim.max_obs_distance)
-                & (cam_pts[:, 2] > 0.05)
-                & np.isfinite(pix[:, 0])
+                near
                 & (pix[:, 0] >= 0.0)
                 & (pix[:, 0] < camera.width)
                 & (pix[:, 1] >= 0.0)
@@ -236,7 +226,7 @@ def simulate_experience(
             gps = gps + rng.normal(0.0, noise.gps_sigma, size=3)
         gps = np.concatenate([gps, [noise.gps_sigma]])
 
-        gravity_body = rotation.T @ gravity_world
+        gravity_body = rotation.T @ GRAVITY_WORLD
         gravity_meas = _small_rotation(rng, ins_sigma) @ gravity_body
         if prev_rotation is None:
             rel_rot = np.array([1.0, 0.0, 0.0, 0.0])

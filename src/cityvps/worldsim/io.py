@@ -14,14 +14,13 @@ tests and evaluation: {"frame_id", "q": [w,x,y,z], "t": [x,y,z],
 from __future__ import annotations
 
 import json
-from pathlib import Path
 
 import numpy as np
 
 from ..geometry import Pose
 from .experience import Experience, Frame
 from .vio import VioLog
-from .world import Street, World, WorldConfig
+from .world import Landmark, Street, World, WorldConfig
 
 
 class UnknownFrame(KeyError):
@@ -175,8 +174,6 @@ def write_world(world: World, path) -> None:
 
 
 def read_world(path) -> World:
-    from ..geometry import Landmark
-
     with open(path) as fh:
         data = json.load(fh)
     cfg = data["config"]

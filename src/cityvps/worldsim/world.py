@@ -6,7 +6,19 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..geometry import Landmark
+
+class Landmark:
+    """3D localization landmark: world position, descriptor, unique id."""
+
+    __slots__ = ("id", "position", "descriptor")
+
+    def __init__(self, id, position, descriptor):
+        self.id = int(id)
+        self.position = np.asarray(position, dtype=float).reshape(3)
+        self.descriptor = np.asarray(descriptor, dtype=float).ravel()
+
+    def __repr__(self):
+        return f"Landmark(id={self.id}, position={self.position.tolist()})"
 
 
 class BadConfig(ValueError):

@@ -219,6 +219,16 @@ class TestMapLifecycle:
         for sid in gmap.transforms:
             assert np.linalg.norm(back.transforms[sid].t - gmap.transforms[sid].t) < 1e-6
 
+    def test_remove_matches_fresh_build(self):
+        # The component that lost submap 3 is solved as a fresh fuse would
+        # solve it, not from the transforms its links to 3 pulled it to.
+        extra = make_submap(3, line_poses(8, base_fid=9, start=45.0))
+        back = remove_submaps(update_map(self.build_map(), [extra]), [3])
+        fresh = self.build_map()
+        assert sorted(back.transforms) == sorted(fresh.transforms)
+        for sid in fresh.transforms:
+            assert_bit_identical(back.transforms[sid], fresh.transforms[sid])
+
     def test_stop_rule_independent_of_start(self):
         # Gauss-Newton crawls along a flat roll mode of this pair; a stop on
         # small relative cost decrease ended short of the optimum at a point

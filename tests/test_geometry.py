@@ -10,11 +10,13 @@ from cityvps.geometry import (
     Pose,
     Sim3,
     backproject,
+    camera_projection,
     huber,
     project,
     so3,
     umeyama,
 )
+from cityvps.geometry.reproject import MIN_BA_DEPTH
 
 unit_floats = st.floats(-1.0, 1.0, allow_nan=False, allow_infinity=False)
 angles = st.floats(-3.0, 3.0, allow_nan=False, allow_infinity=False)
@@ -166,6 +168,40 @@ class TestProjection:
             Camera(-1.0, 320.0, 240.0, 640, 480)
         with pytest.raises(ValueError):
             Camera(500.0, 900.0, 240.0, 640, 480)
+
+
+class TestCameraProjection:
+    cam = Camera(400.0, 320.0, 240.0, 640, 480)
+
+    def points(self, n=50, seed=12):
+        rng = np.random.default_rng(seed)
+        depth = rng.uniform(0.5, 50.0, size=n)
+        return np.column_stack([rng.uniform(-1, 1, size=n) * depth, rng.uniform(-1, 1, size=n) * depth, depth])
+
+    def test_pixels_match_scalar_projection(self):
+        xc = self.points()
+        pix, _, valid = camera_projection(xc, self.cam)
+        assert valid.all()
+        for row, p in zip(xc, pix):
+            assert np.array_equal(p, self.cam.project_camera_frame(row))
+
+    def test_rows_at_or_behind_min_depth_are_invalid(self):
+        xc = np.vstack([self.points(3), [[1.0, 2.0, MIN_BA_DEPTH], [1.0, 2.0, 0.0], [1.0, 2.0, -5.0]]])
+        pix, a, valid = camera_projection(xc, self.cam)
+        assert valid.tolist() == [True] * 3 + [False] * 3
+        assert np.isnan(pix[3:]).all() and np.isfinite(pix[:3]).all()
+        assert not a[3:].any()
+
+    def test_blocks_match_central_difference(self):
+        xc = self.points()
+        _, a, _ = camera_projection(xc, self.cam)
+        h = 1e-6
+        for j in range(3):
+            step = np.zeros(3)
+            step[j] = h
+            plus, _, _ = camera_projection(xc + step, self.cam)
+            minus, _, _ = camera_projection(xc - step, self.cam)
+            assert np.allclose((plus - minus) / (2 * h), a[:, :, j], rtol=1e-6, atol=1e-6)
 
 
 class TestHuber:

@@ -1,0 +1,103 @@
+"""Static checks of the package's public surface, from the source alone.
+
+Every name a subpackage lists in ``__all__`` must be bound where it claims
+to come from, and no module may import a name it neither uses nor
+re-exports: dead imports are how deleted API creeps back.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "cityvps"
+MODULES = sorted(PACKAGE.rglob("*.py"))
+
+
+def parse(path):
+    return ast.parse(path.read_text(), filename=str(path))
+
+
+def imported_names(tree):
+    """{bound name: node} for every import in the module, at any depth."""
+    names = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                names[alias.asname or alias.name.split(".")[0]] = node
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                names[alias.asname or alias.name] = node
+    return names
+
+
+def top_level_names(tree):
+    """Names bound at module level by definitions, assignments and imports."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(t.id for t in targets if isinstance(t, ast.Name))
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names.update(imported_names(ast.Module(body=[node], type_ignores=[])))
+    return names
+
+
+def dunder_all(tree):
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            return ast.literal_eval(node.value)
+    return []
+
+
+def annotations(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.arg, ast.AnnAssign)):
+            yield node.annotation
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield node.returns
+
+
+def used_names(tree):
+    """Names loaded anywhere, including inside string annotations."""
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for ann in annotations(tree):
+        if isinstance(ann, ast.Constant) and isinstance(ann.value, str):
+            used |= used_names(ast.parse(ann.value, mode="eval"))
+    return used
+
+
+def source_module(package_dir, node):
+    """The file a relative ``from .x import y`` in `package_dir`/__init__.py reads from."""
+    base = package_dir
+    for _ in range(node.level - 1):
+        base = base.parent
+    target = base.joinpath(*node.module.split("."))
+    return target / "__init__.py" if target.is_dir() else target.with_suffix(".py")
+
+
+@pytest.mark.parametrize("subpackage", ["geometry", "mapbuild", "worldsim"])
+def test_all_names_resolve(subpackage):
+    init = PACKAGE / subpackage / "__init__.py"
+    tree = parse(init)
+    exported = dunder_all(tree)
+    assert exported, f"{subpackage} lists no __all__"
+    assert len(exported) == len(set(exported)), "duplicate __all__ entries"
+    bound = top_level_names(tree)
+    imports = imported_names(tree)
+    for name in exported:
+        assert name in bound, f"cityvps.{subpackage}.__all__ names unbound {name!r}"
+        node = imports.get(name)
+        if isinstance(node, ast.ImportFrom) and node.level and node.module:
+            origin = source_module(init.parent, node)
+            assert name in top_level_names(parse(origin)), f"{name!r} is not defined in {origin.name}"
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: str(p.relative_to(PACKAGE)))
+def test_no_unused_imports(path):
+    tree = parse(path)
+    keep = used_names(tree) | set(dunder_all(tree))
+    unused = sorted(name for name in imported_names(tree) if name not in keep)
+    assert not unused, f"{path.relative_to(PACKAGE)} imports unused {unused}"

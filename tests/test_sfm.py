@@ -45,7 +45,7 @@ def build_from(world, noise, seed=0, experience_id=1, params=None):
     frames_by_id = {f.frame_id: f for f in exp.frames}
     subset = split_experience(exp, seed=0)[0]
     tracks = build_tracks(subset, frames_by_id)
-    submap = build_submap(subset, tracks, frames_by_id, CAMERA, params or BuildParams(), seed=0)
+    submap = build_submap(subset, tracks, frames_by_id, CAMERA, params or BuildParams())
     return exp, frames_by_id, subset, tracks, submap
 
 
@@ -114,7 +114,7 @@ class TestNoise:
         subset = split_experience(exp, seed=0)[0]
         tracks = build_tracks(subset, frames_by_id)
         try:
-            submap = build_submap(subset, tracks, frames_by_id, CAMERA, BuildParams(), seed=0)
+            submap = build_submap(subset, tracks, frames_by_id, CAMERA, BuildParams())
         except InsufficientOverlap:
             return  # failure surfaced loudly, acceptable
         if submap.status == "built":
@@ -161,7 +161,7 @@ class TestBundleAdjustInternals:
         frames_by_id = {f.frame_id: f for f in exp.frames}
         subset = split_experience(exp)[0]
         tracks = build_tracks(subset, frames_by_id)
-        submap = build_submap(subset, tracks, frames_by_id, CAMERA, BuildParams(), seed=0)
+        submap = build_submap(subset, tracks, frames_by_id, CAMERA, BuildParams())
         # Re-run the final optimization to inspect its cost trace.
         poses = dict(submap.poses)
         tracks_by_id = {t.track_id: t for t in tracks}
@@ -302,4 +302,4 @@ def test_minimal_frames_rejected():
     subset.member_ids = [exp.frames[0].frame_id]
     subset.augmented_ids = []
     with pytest.raises(InsufficientOverlap):
-        build_submap(subset, [], frames_by_id, CAMERA, BuildParams(), seed=0)
+        build_submap(subset, [], frames_by_id, CAMERA, BuildParams())
