@@ -13,7 +13,6 @@ from .least_squares import (
 from .pose import GRAVITY_WORLD, Pose, Sim3, umeyama
 from .reproject import (
     BEHIND_RESIDUAL,
-    batch_skew,
     camera_projection,
     pose_jacobian,
     pose_residuals,
@@ -22,6 +21,7 @@ from .reproject import (
     reprojection_errors,
 )
 from .robust import huber, huber_loss_many, huber_weight_many
+from .so3 import batch_skew
 
 __all__ = [
     "so3",

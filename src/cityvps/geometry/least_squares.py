@@ -1,4 +1,4 @@
-"""Damped Gauss-Newton (Levenberg-Marquardt) solver on dense normal equations.
+"""Damped Gauss-Newton (Levenberg-Marquardt) solver on the reduced camera system.
 
 The residual vector may carry a robustified prefix: the first
 ``n_blocks * block_size`` rows are grouped into fixed-size blocks whose
@@ -6,6 +6,17 @@ norms go through a Huber loss (optionally with per-block outer weights);
 all remaining rows contribute plain squared error. Steps are accepted only
 if the true (robust) cost decreases, so the recorded cost history is
 non-increasing by construction.
+
+Bundle adjustment declares its block structure: the last ``landmark_blocks``
+groups of 3 parameters are landmarks, and no residual row touches two of
+them, so the landmark block V of the normal equations is 3x3
+block-diagonal. Each damped step eliminates those blocks (Schur
+complement): the camera block is solved from the reduced camera system
+S = U - W V^-1 W^T by Cholesky and the landmarks follow by
+back-substitution, so no n x n matrix is built or factored (Triggs et al.,
+"Bundle Adjustment - A Modern Synthesis"; Agarwal et al., "Bundle
+Adjustment in the Large"). With no landmark blocks S is the whole damped
+normal matrix.
 
 Jacobians may be dense ndarrays or scipy.sparse matrices; with
 ``jacobian=None`` a central-difference Jacobian is used (only sensible for
@@ -18,6 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.linalg import cho_factor, cho_solve
 
 from .robust import huber_loss_many, huber_weight_many
 
@@ -94,18 +106,111 @@ def numeric_jacobian(residual_fn, x, step=1e-7):
     return jac
 
 
+def _split_normal_matrix(hess, p: int, n_landmarks: int):
+    """U = H[:p, :p] (dense), W = H[:p, p:] (CSR) and the (L, 3, 3) diagonal blocks V of H[p:, p:].
+
+    `hess` is a dense array or a sparse product, so it holds no duplicate
+    entries. Raises ValueError if H[p:, p:] is not 3x3 block-diagonal.
+    """
+    h = sp.coo_matrix(hess)
+    row, col, data = h.row, h.col, h.data
+    cam_row, cam_col = row < p, col < p
+    u = np.zeros((p, p))
+    m = cam_row & cam_col
+    u[row[m], col[m]] = data[m]
+    m = cam_row & ~cam_col
+    w = sp.csr_matrix((data[m], (row[m], col[m] - p)), shape=(p, 3 * n_landmarks))
+    m = ~(cam_row | cam_col)
+    lrow, lcol = row[m] - p, col[m] - p
+    if np.any(lrow // 3 != lcol // 3):
+        raise ValueError("landmark parameters are coupled across 3x3 blocks")
+    v = np.zeros((n_landmarks, 3, 3))
+    v[lrow // 3, lrow % 3, lcol % 3] = data[m]
+    return u, w, v
+
+
+class _NormalEquations:
+    """Weighted Gauss-Newton normal equations at one iterate, split for elimination.
+
+    With p = n - 3 L camera parameters, H = J^T J splits into U = H[:p, :p]
+    (dense), W = H[:p, p:] (sparse) and V, the L diagonal 3x3 blocks of
+    H[p:, p:]; g = J^T r. `diag` is diag(H) floored at 1e-12, the
+    Levenberg-Marquardt damping scale.
+    """
+
+    def __init__(self, jac, r, row_w, landmark_blocks: int = 0):
+        sw = None if row_w is None else np.sqrt(row_w)
+        if sp.issparse(jac):
+            jw = jac.tocsr()
+            if sw is not None:
+                jw = sp.csr_matrix((jw.data * np.repeat(sw, np.diff(jw.indptr)), jw.indices, jw.indptr), shape=jw.shape)
+        else:
+            jw = np.asarray(jac, dtype=float)
+            if sw is not None:
+                jw = sw[:, None] * jw
+        hess = jw.T @ jw
+        self.grad = np.asarray(jw.T @ (r if sw is None else sw * r)).ravel()
+        values = hess.data if sp.issparse(hess) else hess
+        if not (np.all(np.isfinite(values)) and np.all(np.isfinite(self.grad))):
+            raise NonFinite("non-finite normal equations")
+
+        self.n_landmarks = landmark_blocks
+        p = self.grad.shape[0] - 3 * landmark_blocks
+        self.diag = hess.diagonal().copy()
+        self.diag[self.diag <= 0.0] = 1e-12
+        if landmark_blocks or sp.issparse(hess):
+            self.u, self.w, self.v = _split_normal_matrix(hess, p, landmark_blocks)
+            self.wt = self.w.T.tocsr()
+            self.v_diag = self.diag[p:].reshape(-1, 3)
+        else:
+            self.u = hess
+
+    def step(self, mu: float) -> np.ndarray:
+        """Solve (H + mu diag(d)) step = -g; raises LinAlgError if it fails to factor.
+
+        The landmark blocks are eliminated first: S = U_mu - W V_mu^-1 W^T
+        is Cholesky-factored for the camera step, then each landmark's step
+        is V_mu^-1 (-g_l - W^T step_camera).
+        """
+        p = self.u.shape[0]
+        g_cam = self.grad[:p]
+        if self.n_landmarks:
+            v = self.v.copy()
+            v[:, [0, 1, 2], [0, 1, 2]] += mu * self.v_diag
+            v_inv = np.linalg.inv(v)
+            blocks = np.arange(self.n_landmarks + 1)
+            wv = self.w @ sp.bsr_matrix((v_inv, blocks[:-1], blocks), shape=(3 * self.n_landmarks,) * 2)
+            s = (wv @ self.wt).toarray()
+            np.subtract(self.u, s, out=s)
+            rhs = wv @ self.grad[p:] - g_cam
+        else:
+            s = self.u.copy()
+            rhs = -g_cam
+        s[np.diag_indices(p)] += mu * self.diag[:p]
+        step_cam = cho_solve(cho_factor(s, overwrite_a=True, check_finite=False), rhs, check_finite=False)
+        if not self.n_landmarks:
+            return step_cam
+        back = (self.grad[p:] + self.wt @ step_cam).reshape(-1, 3)
+        return np.concatenate([step_cam, -np.einsum("lij,lj->li", v_inv, back).ravel()])
+
+
 def solve_least_squares(
     residual_fn,
     x0,
     jacobian=None,
     *,
     robust=None,
+    landmark_blocks=0,
     max_iterations=100,
     rel_cost_tol=1e-10,
     damping_init=1e-4,
     damping_max=1e10,
 ):
     """Minimize the (optionally robustified) sum of squared residuals.
+
+    `landmark_blocks` is the number of trailing 3-parameter blocks that no
+    residual row couples to each other (bundle-adjustment landmarks); each
+    damped step eliminates them and factors only the reduced camera system.
 
     Returns a SolveResult; ``converged`` is True when the relative cost
     decrease fell below tolerance or the problem stalled at a stationary
@@ -133,30 +238,11 @@ def solve_least_squares(
 
     while iteration < max_iterations:
         iteration += 1
-        jac = jac_fn(x)
-        row_w = _row_weights(r, robust)
-        if sp.issparse(jac):
-            jac = jac.tocsr()
-            jw = jac if row_w is None else sp.diags(np.sqrt(row_w)) @ jac
-            hess = np.asarray((jw.T @ jw).todense())
-            grad = jw.T @ ((np.sqrt(row_w) if row_w is not None else 1.0) * r)
-            grad = np.asarray(grad).ravel()
-        else:
-            jac = np.asarray(jac, dtype=float)
-            sw = np.sqrt(row_w)[:, None] if row_w is not None else None
-            jw = jac if sw is None else sw * jac
-            rw = r if row_w is None else np.sqrt(row_w) * r
-            hess = jw.T @ jw
-            grad = jw.T @ rw
-        if not (np.all(np.isfinite(hess)) and np.all(np.isfinite(grad))):
-            raise NonFinite("non-finite normal equations")
-
-        diag = np.diag(hess).copy()
-        diag[diag <= 0.0] = 1e-12
+        normal = _NormalEquations(jac_fn(x), r, _row_weights(r, robust), landmark_blocks)
         accepted = False
         while mu <= damping_max:
             try:
-                step = np.linalg.solve(hess + mu * np.diag(diag), -grad)
+                step = normal.step(mu)
             except np.linalg.LinAlgError:
                 mu *= 10.0
                 continue

@@ -26,19 +26,6 @@ BEHIND_RESIDUAL = 1e4
 MIN_BA_DEPTH = 1e-6
 
 
-def batch_skew(v: np.ndarray) -> np.ndarray:
-    """(n,3) vectors -> (n,3,3) skew matrices."""
-    n = v.shape[0]
-    out = np.zeros((n, 3, 3))
-    out[:, 0, 1] = -v[:, 2]
-    out[:, 0, 2] = v[:, 1]
-    out[:, 1, 0] = v[:, 2]
-    out[:, 1, 2] = -v[:, 0]
-    out[:, 2, 0] = -v[:, 1]
-    out[:, 2, 1] = v[:, 0]
-    return out
-
-
 def camera_projection(xc, camera: Camera):
     """Pixel projections, dpixel/dx_cam blocks and validity of camera-frame points.
 
@@ -88,7 +75,7 @@ def pose_jacobian(params, points_world, pixels, camera: Camera):
     jr = so3.right_jacobian(rotvec)
     xc, _, a, _ = projection_terms(points_world, rot, params[3:6], camera)
     # dxc/drho = skew(xc) Jr ; dxc/dt = -R^T ; residual = pixel - proj.
-    dxc_drho = batch_skew(xc) @ jr
+    dxc_drho = so3.batch_skew(xc) @ jr
     j = np.empty((xc.shape[0], 2, 6))
     j[:, :, :3] = -np.einsum("nij,njk->nik", a, dxc_drho)
     j[:, :, 3:] = np.einsum("nij,kj->nik", a, rot)  # -A @ (-R^T)

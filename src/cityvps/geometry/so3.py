@@ -4,6 +4,8 @@ Quaternions are stored as [w, x, y, z] with unit norm and are canonicalized
 to w >= 0 so serialized rotations are byte-stable. Rotation vectors (axis
 times angle, radians) are the tangent-space parameterization used by all
 solvers; `exp`/`log` use series expansions below 1e-8 rad to stay finite.
+`exp_many` and `right_jacobian_many` are `exp` and `right_jacobian` over
+(n, 3) stacks of rotation vectors, with the same series branch.
 """
 
 from __future__ import annotations
@@ -24,6 +26,28 @@ def skew(v):
     )
 
 
+def batch_skew(v: np.ndarray) -> np.ndarray:
+    """(n,3) vectors -> (n,3,3) skew matrices."""
+    n = v.shape[0]
+    out = np.zeros((n, 3, 3))
+    out[:, 0, 1] = -v[:, 2]
+    out[:, 0, 2] = v[:, 1]
+    out[:, 1, 0] = v[:, 2]
+    out[:, 1, 2] = -v[:, 0]
+    out[:, 2, 0] = -v[:, 1]
+    out[:, 2, 1] = v[:, 0]
+    return out
+
+
+def _series_terms(rotvecs):
+    """Skew matrices, their squares, angles and the small-angle mask of (n,3) rotation vectors."""
+    rotvecs = np.asarray(rotvecs, dtype=float)
+    k = batch_skew(rotvecs)
+    angle = np.linalg.norm(rotvecs, axis=1)
+    small = angle < _SMALL_ANGLE
+    return k, k @ k, np.where(small, 1.0, angle), small
+
+
 def exp(rotvec):
     """Rodrigues map from a rotation vector to a 3x3 rotation matrix."""
     rotvec = np.asarray(rotvec, dtype=float)
@@ -35,6 +59,14 @@ def exp(rotvec):
     s = np.sin(angle) / angle
     c = (1.0 - np.cos(angle)) / (angle * angle)
     return np.eye(3) + s * k + c * k2
+
+
+def exp_many(rotvecs):
+    """`exp` of each row of an (n,3) array of rotation vectors -> (n,3,3)."""
+    k, k2, a, small = _series_terms(rotvecs)
+    s = np.where(small, 1.0, np.sin(a) / a)
+    c = np.where(small, 0.5, (1.0 - np.cos(a)) / (a * a))
+    return np.eye(3) + s[:, None, None] * k + c[:, None, None] * k2
 
 
 def log(matrix):
@@ -83,6 +115,15 @@ def right_jacobian(rotvec):
     c1 = (1.0 - np.cos(angle)) / a2
     c2 = (angle - np.sin(angle)) / (a2 * angle)
     return np.eye(3) - c1 * k + c2 * k2
+
+
+def right_jacobian_many(rotvecs):
+    """`right_jacobian` of each row of an (n,3) array of rotation vectors -> (n,3,3)."""
+    k, k2, a, small = _series_terms(rotvecs)
+    a2 = a * a
+    c1 = np.where(small, 0.5, (1.0 - np.cos(a)) / a2)
+    c2 = np.where(small, 1.0 / 6.0, (a - np.sin(a)) / (a2 * a))
+    return np.eye(3) - c1[:, None, None] * k + c2[:, None, None] * k2
 
 
 def right_jacobian_inv(rotvec):

@@ -20,6 +20,7 @@ from ..geometry import (
     BEHIND_RESIDUAL,
     GRAVITY_WORLD,
     Camera,
+    NonFinite,
     Pose,
     RobustPrefix,
     batch_skew,
@@ -152,7 +153,7 @@ def triangulate_track(track: Track, poses: dict, frames_by_id: dict, camera: Cam
 
 
 # ---------------------------------------------------------------------------
-# Bundle adjustment (dense normal equations over a sparse Jacobian)
+# Bundle adjustment (sparse Jacobian; landmarks eliminated, reduced camera system solved)
 
 
 class _BAProblem:
@@ -194,15 +195,8 @@ class _BAProblem:
         return poses, points
 
     def _frame_arrays(self, x):
-        rots = np.empty((self.nf, 3, 3))
-        jrs = np.empty((self.nf, 3, 3))
-        ts = np.empty((self.nf, 3))
-        for i in range(self.nf):
-            rho = x[6 * i : 6 * i + 3]
-            rots[i] = so3.exp(rho)
-            jrs[i] = so3.right_jacobian(rho)
-            ts[i] = x[6 * i + 3 : 6 * i + 6]
-        return rots, jrs, ts
+        frames = x[: 6 * self.nf].reshape(self.nf, 6)
+        return so3.exp_many(frames[:, :3]), so3.right_jacobian_many(frames[:, :3]), frames[:, 3:]
 
     def _observed(self, x):
         """Per-frame arrays, then each observation's rotation and camera-frame point."""
@@ -302,6 +296,7 @@ def bundle_adjust(poses, points, tracks_by_id, frames_by_id, camera, params: Bui
         problem.pack(poses, points),
         jacobian=problem.jacobian,
         robust=robust,
+        landmark_blocks=problem.nl,
         max_iterations=max_iterations or params.ba_max_iterations,
         rel_cost_tol=params.ba_rel_tol,
     )
@@ -452,18 +447,20 @@ def build_submap(
 
     # Refine the leading hypotheses and keep the best refined geometry.
     best = None
+    failures = []
     for score, psi, hyp_poses, points in candidates[:3]:
         try:
             ref_poses, ref_points, _, _ = bundle_adjust(
                 hyp_poses, points, tracks_by_id, frames_by_id, camera, params, max_iterations=20
             )
-        except Exception:
+        except NonFinite as exc:
+            failures.append(f"yaw {np.degrees(psi):.0f} deg: {exc}")
             continue
         _, cost = _window_score(ref_poses, tracks, frames_by_id, camera, params)
         if best is None or cost < best[0]:
             best = (cost, ref_poses)
     if best is None:
-        raise InsufficientOverlap("seed refinement failed")
+        raise InsufficientOverlap("seed refinement failed: " + "; ".join(failures))
 
     poses = best[1]
     points, _ = _window_score(poses, tracks, frames_by_id, camera, params)

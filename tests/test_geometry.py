@@ -204,6 +204,35 @@ class TestCameraProjection:
             assert np.allclose((plus - minus) / (2 * h), a[:, :, j], rtol=1e-6, atol=1e-6)
 
 
+# Rotation vectors across both branches of the series: exactly zero, below
+# the 1e-8 rad small-angle cutoff, generic, and within 1e-6 rad of pi.
+rotation_angles = st.one_of(
+    st.just(0.0),
+    st.floats(0.0, 1e-8),
+    st.floats(0.0, np.pi),
+    st.floats(np.pi - 1e-6, np.pi),
+)
+axes = st.tuples(unit_floats, unit_floats, unit_floats).map(np.array).filter(lambda a: np.linalg.norm(a) > 1e-3)
+rotation_vectors = st.tuples(axes, rotation_angles).map(lambda v: v[0] / np.linalg.norm(v[0]) * v[1])
+
+
+class TestBatchedRotations:
+    @given(st.lists(rotation_vectors, min_size=1, max_size=8))
+    @settings(max_examples=200, deadline=None)
+    def test_match_scalar_helpers(self, rotvecs):
+        stack = np.array(rotvecs)
+        rots = so3.exp_many(stack)
+        jrs = so3.right_jacobian_many(stack)
+        assert rots.shape == jrs.shape == (len(rotvecs), 3, 3)
+        for v, rot, jr in zip(stack, rots, jrs):
+            assert np.abs(rot - so3.exp(v)).max() < 1e-12
+            assert np.abs(jr - so3.right_jacobian(v)).max() < 1e-12
+
+    def test_batch_skew_matches_skew(self):
+        v = np.random.default_rng(3).normal(size=(5, 3))
+        assert np.array_equal(so3.batch_skew(v), np.array([so3.skew(row) for row in v]))
+
+
 class TestHuber:
     def test_zero(self):
         loss, weight = huber(0.0, 1.0)

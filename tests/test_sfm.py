@@ -1,12 +1,25 @@
 """Submap reconstruction: zero-noise fixed points, noise, corruption."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from cityvps.geometry import Pose, Sim3, numeric_jacobian, so3, umeyama
+from cityvps.geometry import (
+    NonFinite,
+    Pose,
+    RobustPrefix,
+    Sim3,
+    huber_weight_many,
+    numeric_jacobian,
+    so3,
+    umeyama,
+)
+from cityvps.geometry.least_squares import _NormalEquations, _row_weights
 from cityvps.mapbuild import (
     BuildParams,
     InsufficientOverlap,
+    Track,
     VerifyThresholds,
     build_submap,
     build_tracks,
@@ -15,6 +28,7 @@ from cityvps.mapbuild import (
     triangulate_midpoint,
     verify_submap,
 )
+from cityvps.mapbuild import sfm
 from cityvps.mapbuild.sfm import _BAProblem, gps_weight_for
 from cityvps.worldsim import (
     Experience,
@@ -123,7 +137,12 @@ class TestNoise:
 
 
 class TestBundleAdjustInternals:
-    def make_problem(self, seed=0):
+    def make_problem(self, seed=0, behind_camera=False):
+        """Four frames and twelve landmarks with GPS and gravity rows.
+
+        `behind_camera` appends a thirteenth landmark seen only by frame 0,
+        from behind, so its Jacobian columns are all zero.
+        """
         rng = np.random.default_rng(seed)
         n_frames, n_points = 4, 12
         frame_ids = list(range(n_frames))
@@ -136,14 +155,18 @@ class TestBundleAdjustInternals:
                 observations.append((fi, ti, rng.uniform(0, 500, size=2)))
         gravity = rng.normal(size=(n_frames, 3))
         gravity /= np.linalg.norm(gravity, axis=1, keepdims=True)
-        problem = _BAProblem(frame_ids, track_ids, observations, gps,
-                             np.full(n_frames, 0.04), CAMERA,
-                             gravity_meas=gravity, gravity_sqrtw=5.0)
         x = rng.normal(scale=0.3, size=6 * n_frames + 3 * n_points)
         for fi in frame_ids:
             x[6 * fi + 3 : 6 * fi + 6] = gps[fi] + rng.normal(scale=0.5, size=3)
         for ti in track_ids:
             x[6 * n_frames + 3 * ti : 6 * n_frames + 3 * ti + 3] = points[ti]
+        if behind_camera:
+            observations.append((0, n_points, rng.uniform(0, 500, size=2)))
+            track_ids.append(n_points)
+            x = np.concatenate([x, x[3:6] - 5.0 * so3.exp(x[:3])[:, 2]])
+        problem = _BAProblem(frame_ids, track_ids, observations, gps,
+                             np.full(n_frames, 0.04), CAMERA,
+                             gravity_meas=gravity, gravity_sqrtw=5.0)
         return problem, x
 
     def test_analytic_jacobian_matches_finite_differences(self):
@@ -152,6 +175,62 @@ class TestBundleAdjustInternals:
         numeric = numeric_jacobian(problem.residuals, x)
         scale = max(1.0, np.abs(analytic).max())
         assert np.abs(analytic - numeric).max() / scale < 1e-5
+
+    @pytest.mark.parametrize("mu", [1e-4, 10.0])
+    def test_schur_step_matches_dense_step(self, mu):
+        problem, x = self.make_problem(behind_camera=True)
+        jac, r = problem.jacobian(x), problem.residuals(x)
+        dense = jac.toarray()
+        assert not dense[:, -3:].any() and dense[:, -6:-3].any()
+        robust = RobustPrefix(n_blocks=problem.nobs, block_size=2, delta=2.0)
+
+        # Reference: the damped normal equations of all n parameters, solved densely.
+        norms = np.linalg.norm(r[: 2 * problem.nobs].reshape(-1, 2), axis=1)
+        sw = np.ones_like(r)
+        sw[: 2 * problem.nobs] = np.repeat(np.sqrt(huber_weight_many(norms, 2.0)), 2)
+        assert sw.min() < 1.0  # some observations are down-weighted
+        jw = sw[:, None] * dense
+        hess = jw.T @ jw
+        diag = np.diag(hess).copy()
+        diag[diag <= 0.0] = 1e-12
+        reference = np.linalg.solve(hess + mu * np.diag(diag), -jw.T @ (sw * r))
+
+        for blocks in (problem.nl, 0):
+            step = _NormalEquations(jac, r, _row_weights(r, robust), blocks).step(mu)
+            assert np.linalg.norm(step - reference) <= 1e-9 * np.linalg.norm(reference)
+
+    def test_memory_below_one_dense_normal_matrix(self):
+        # A 250-frame zero-noise street, started from the truth plus a small
+        # perturbation: the solve must converge without ever holding as much
+        # as one dense n x n float64 matrix.
+        world = street_world(length=1500.0)
+        exp = simulate_experience(world, ["main"], experience_id=1, noise=NoiseConfig.zero(),
+                                  sim=SimConfig(speed=6.0, frame_rate=1.0), seed=0)
+        frames_by_id = {f.frame_id: f for f in exp.frames}
+        observations = {}
+        for f in exp.frames:
+            for oi, lid in enumerate(f.landmark_ids):
+                observations.setdefault(int(lid), []).append((f.frame_id, oi))
+        truth = world.landmark_positions()
+        tracks_by_id = {lid: Track(lid, obs) for lid, obs in observations.items() if len(obs) >= 2}
+        rng = np.random.default_rng(5)
+        poses = {
+            f.frame_id: Pose.from_params(f.true_pose.params() + rng.normal(scale=1e-3, size=6))
+            for f in exp.frames
+        }
+        points = {lid: truth[lid] + rng.normal(scale=0.01, size=3) for lid in tracks_by_id}
+        n = 6 * len(poses) + 3 * len(points)
+        assert len(poses) >= 250
+
+        tracemalloc.start()
+        try:
+            _, _, result, rmse = bundle_adjust(poses, points, tracks_by_id, frames_by_id, CAMERA, BuildParams())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result.converged
+        assert rmse < 1e-8
+        assert peak < 8 * n * n
 
     def test_cost_history_non_increasing(self):
         world = street_world(length=80.0)
@@ -207,6 +286,34 @@ class TestBundleAdjustInternals:
         assert gps_weight_for(5.0, params) == pytest.approx(1.0 / 25.0)
         # Sigma floor keeps zero-noise weights finite.
         assert np.isfinite(gps_weight_for(0.0, params))
+
+
+class TestSeedRefinementFailures:
+    def build(self):
+        world = street_world(length=80.0)
+        exp = simulate_experience(world, ["main"], experience_id=1, noise=NoiseConfig.zero(),
+                                  sim=SimConfig(speed=6.0), seed=0)
+        frames_by_id = {f.frame_id: f for f in exp.frames}
+        subset = split_experience(exp)[0]
+        return build_submap(subset, build_tracks(subset, frames_by_id), frames_by_id, CAMERA, BuildParams())
+
+    def test_solver_failure_reason_is_reported(self, monkeypatch):
+        def failing(*args, **kwargs):
+            raise NonFinite("non-finite update step")
+
+        monkeypatch.setattr(sfm, "bundle_adjust", failing)
+        with pytest.raises(InsufficientOverlap, match="seed refinement failed: .*non-finite update step") as info:
+            self.build()
+        # One reason per refined yaw hypothesis.
+        assert str(info.value).count("non-finite update step") == 3
+
+    def test_other_errors_propagate(self, monkeypatch):
+        def broken(*args, **kwargs):
+            raise TypeError("bundle_adjust() got an unexpected keyword argument")
+
+        monkeypatch.setattr(sfm, "bundle_adjust", broken)
+        with pytest.raises(TypeError, match="unexpected keyword"):
+            self.build()
 
 
 class TestTriangulation:
