@@ -3,6 +3,8 @@
 from . import so3
 from .camera import MIN_DEPTH, Camera, backproject, project
 from .least_squares import (
+    BlockJacobian,
+    BlockStructure,
     NonFinite,
     RobustPrefix,
     SolveResult,
@@ -36,6 +38,8 @@ __all__ = [
     "huber",
     "huber_loss_many",
     "huber_weight_many",
+    "BlockJacobian",
+    "BlockStructure",
     "NonFinite",
     "RobustPrefix",
     "SolveResult",

@@ -14,11 +14,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from ..geometry import (
     BEHIND_RESIDUAL,
     GRAVITY_WORLD,
+    BlockJacobian,
+    BlockStructure,
     Camera,
     NonFinite,
     Pose,
@@ -153,7 +154,7 @@ def triangulate_track(track: Track, poses: dict, frames_by_id: dict, camera: Cam
 
 
 # ---------------------------------------------------------------------------
-# Bundle adjustment (sparse Jacobian; landmarks eliminated, reduced camera system solved)
+# Bundle adjustment (block Jacobian; landmarks eliminated, banded reduced camera system factored)
 
 
 class _BAProblem:
@@ -176,6 +177,7 @@ class _BAProblem:
         # Optional per-frame measured gravity direction (camera frame).
         self.gravity = None if gravity_meas is None else np.asarray(gravity_meas, dtype=float)
         self.gravity_sqrtw = float(gravity_sqrtw)
+        self.structure = BlockStructure(self.obs_f, self.obs_l, self.nf, self.nl)
 
     def pack(self, poses: dict, points: dict) -> np.ndarray:
         x = np.empty(6 * self.nf + 3 * self.nl)
@@ -199,15 +201,15 @@ class _BAProblem:
         return so3.exp_many(frames[:, :3]), so3.right_jacobian_many(frames[:, :3]), frames[:, 3:]
 
     def _observed(self, x):
-        """Per-frame arrays, then each observation's rotation and camera-frame point."""
+        """Per-frame arrays, then each observation's camera-frame point."""
         rots, jrs, ts = self._frame_arrays(x)
         pts = x[6 * self.nf :].reshape(self.nl, 3)
-        rot = rots[self.obs_f]
+        rot = np.take(rots, self.obs_f, axis=0)
         xc = np.einsum("nji,nj->ni", rot, pts[self.obs_l] - ts[self.obs_f])  # R^T (X - t)
-        return rots, jrs, ts, rot, xc
+        return rots, jrs, ts, xc
 
     def residuals(self, x):
-        rots, _, ts, _, xc = self._observed(x)
+        rots, _, ts, xc = self._observed(x)
         proj, _, valid = camera_projection(xc, self.camera)
         r_obs = np.where(valid[:, None], self.obs_px - proj, BEHIND_RESIDUAL)
         r_gps = (ts - self.gps) * self.gps_sqrtw[:, None]
@@ -217,54 +219,22 @@ class _BAProblem:
             parts.append(((g_body - self.gravity) * self.gravity_sqrtw).ravel())
         return np.concatenate(parts)
 
-    def jacobian(self, x):
-        rots, jrs, _, rot, xc = self._observed(x)
+    def jacobian(self, x) -> BlockJacobian:
+        rots, jrs, _, xc = self._observed(x)
         _, a, _ = camera_projection(xc, self.camera)
-
-        rot_t = np.transpose(rot, (0, 2, 1))
-        d_rho = -np.einsum("nij,njk->nik", a, batch_skew(xc) @ jrs[self.obs_f])
-        d_t = np.einsum("nij,njk->nik", a, rot_t)  # = -A (-R^T)
-        d_pt = -d_t
-
-        # COO triplets: each observation contributes 2 rows x 9 columns.
-        rows_base = 2 * np.arange(self.nobs)
-        row_idx = np.repeat(rows_base, 18) + np.tile(np.repeat([0, 1], 9), self.nobs)
-        pose_cols = 6 * self.obs_f
-        land_cols = 6 * self.nf + 3 * self.obs_l
-        col_block = np.concatenate(
-            [
-                pose_cols[:, None] + np.arange(6)[None, :],
-                land_cols[:, None] + np.arange(3)[None, :],
-            ],
-            axis=1,
-        )  # (nobs, 9)
-        col_idx = np.repeat(col_block, 2, axis=0).ravel()
-        data = np.concatenate([d_rho, d_t, d_pt], axis=2).reshape(-1)
-
-        # GPS rows: d/dt = sqrt(w) I at rows 2*nobs + 3i.
-        gps_rows = 2 * self.nobs + np.arange(3 * self.nf)
-        gps_cols = np.repeat(6 * np.arange(self.nf) + 3, 3) + np.tile(np.arange(3), self.nf)
-        gps_data = np.repeat(self.gps_sqrtw, 3)
-
-        all_rows = [row_idx, gps_rows]
-        all_cols = [col_idx, gps_cols]
-        all_data = [data, gps_data]
-        n_rows = 2 * self.nobs + 3 * self.nf
+        # np.take returns C-contiguous stacks, on which matmul is fastest.
+        d_t = a @ np.take(np.transpose(rots, (0, 2, 1)), self.obs_f, axis=0)  # = -A (-R^T)
+        d_rho = -((a @ batch_skew(xc)) @ np.take(jrs, self.obs_f, axis=0))
+        gps = np.zeros((self.nf, 3, 6))
+        gps[:, [0, 1, 2], [3, 4, 5]] = self.gps_sqrtw[:, None]  # d/dt = sqrt(w) I
+        frame_rows = [gps]
         if self.gravity is not None:
-            # d(R^T g_w)/drho = skew(R^T g_w) Jr, 3x3 block per frame.
+            # d(R^T g_w)/drho = skew(R^T g_w) Jr, per frame.
             g_body = np.einsum("nji,j->ni", rots, GRAVITY_WORLD)
-            blocks = self.gravity_sqrtw * (batch_skew(g_body) @ jrs)  # (F,3,3)
-            g_rows = n_rows + np.repeat(np.arange(3 * self.nf), 3)
-            g_cols = (6 * np.repeat(np.arange(self.nf), 9) + np.tile(np.arange(3), 3 * self.nf))
-            all_rows.append(g_rows)
-            all_cols.append(g_cols)
-            all_data.append(blocks.reshape(-1))
-            n_rows += 3 * self.nf
-        shape = (n_rows, 6 * self.nf + 3 * self.nl)
-        return sp.coo_matrix(
-            (np.concatenate(all_data), (np.concatenate(all_rows), np.concatenate(all_cols))),
-            shape=shape,
-        ).tocsr()
+            gravity = np.zeros((self.nf, 3, 6))
+            gravity[:, :, :3] = self.gravity_sqrtw * (batch_skew(g_body) @ jrs)
+            frame_rows.append(gravity)
+        return BlockJacobian(self.structure, np.concatenate([d_rho, d_t], axis=2), -d_t, frame_rows)
 
 
 def bundle_adjust(poses, points, tracks_by_id, frames_by_id, camera, params: BuildParams, max_iterations=None):
@@ -296,7 +266,6 @@ def bundle_adjust(poses, points, tracks_by_id, frames_by_id, camera, params: Bui
         problem.pack(poses, points),
         jacobian=problem.jacobian,
         robust=robust,
-        landmark_blocks=problem.nl,
         max_iterations=max_iterations or params.ba_max_iterations,
         rel_cost_tol=params.ba_rel_tol,
     )

@@ -4,6 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from cityvps.geometry import (
     NonFinite,
@@ -15,7 +16,8 @@ from cityvps.geometry import (
     so3,
     umeyama,
 )
-from cityvps.geometry.least_squares import _NormalEquations, _row_weights
+from cityvps.geometry import least_squares
+from cityvps.geometry.least_squares import _normal_equations, _row_weights
 from cityvps.mapbuild import (
     BuildParams,
     InsufficientOverlap,
@@ -176,15 +178,10 @@ class TestBundleAdjustInternals:
         scale = max(1.0, np.abs(analytic).max())
         assert np.abs(analytic - numeric).max() / scale < 1e-5
 
-    @pytest.mark.parametrize("mu", [1e-4, 10.0])
-    def test_schur_step_matches_dense_step(self, mu):
-        problem, x = self.make_problem(behind_camera=True)
-        jac, r = problem.jacobian(x), problem.residuals(x)
+    @staticmethod
+    def dense_step(problem, jac, r, mu):
+        """The damped normal equations of all n parameters, solved densely."""
         dense = jac.toarray()
-        assert not dense[:, -3:].any() and dense[:, -6:-3].any()
-        robust = RobustPrefix(n_blocks=problem.nobs, block_size=2, delta=2.0)
-
-        # Reference: the damped normal equations of all n parameters, solved densely.
         norms = np.linalg.norm(r[: 2 * problem.nobs].reshape(-1, 2), axis=1)
         sw = np.ones_like(r)
         sw[: 2 * problem.nobs] = np.repeat(np.sqrt(huber_weight_many(norms, 2.0)), 2)
@@ -193,17 +190,62 @@ class TestBundleAdjustInternals:
         hess = jw.T @ jw
         diag = np.diag(hess).copy()
         diag[diag <= 0.0] = 1e-12
-        reference = np.linalg.solve(hess + mu * np.diag(diag), -jw.T @ (sw * r))
+        return np.linalg.solve(hess + mu * np.diag(diag), -jw.T @ (sw * r))
 
-        for blocks in (problem.nl, 0):
-            step = _NormalEquations(jac, r, _row_weights(r, robust), blocks).step(mu)
+    @pytest.mark.parametrize("mu", [1e-4, 10.0])
+    def test_schur_step_matches_dense_step(self, mu):
+        problem, x = self.make_problem(behind_camera=True)
+        jac, r = problem.jacobian(x), problem.residuals(x)
+        dense = jac.toarray()
+        assert not dense[:, -3:].any() and dense[:, -6:-3].any()
+        robust = RobustPrefix(n_blocks=problem.nobs, block_size=2, delta=2.0)
+        reference = self.dense_step(problem, jac, r, mu)
+
+        for jac in (jac, dense):
+            step = _normal_equations(jac, r, _row_weights(r, robust)).step(mu)
             assert np.linalg.norm(step - reference) <= 1e-9 * np.linalg.norm(reference)
 
-    def test_memory_below_one_dense_normal_matrix(self):
-        # A 250-frame zero-noise street, started from the truth plus a small
-        # perturbation: the solve must converge without ever holding as much
-        # as one dense n x n float64 matrix.
-        world = street_world(length=1500.0)
+    @pytest.mark.parametrize("mu", [1e-4, 10.0])
+    def test_banded_step_in_reordered_cameras(self, mu):
+        # Two experiences of one street: frame ids run along the first pass,
+        # then along the second, so in id order every frame shares landmarks
+        # with a frame about one pass away. The camera reordering must
+        # narrow the band, and the step must not depend on it.
+        world = street_world(length=300.0)
+        frames = []
+        for k in (1, 2):
+            frames += simulate_experience(world, ["main"], experience_id=k, noise=NoiseConfig.zero(),
+                                          sim=SimConfig(speed=6.0, frame_rate=1.0), seed=k).frames
+        observations = [(f.frame_id, int(lid), f.pixels[oi]) for f in frames for oi, lid in enumerate(f.landmark_ids)]
+        seen = {}
+        for fid, lid, _ in observations:
+            seen.setdefault(lid, set()).add(fid)
+        track_ids = sorted(lid for lid, fids in seen.items() if len(fids) >= 2)
+        observations = [o for o in observations if len(seen[o[1]]) >= 2]
+        frame_ids = sorted(f.frame_id for f in frames)
+        problem = _BAProblem(frame_ids, track_ids, observations, np.array([f.gps[:3] for f in frames]),
+                             np.full(len(frames), 0.04), CAMERA,
+                             gravity_meas=np.array([f.ins_gravity for f in frames]), gravity_sqrtw=5.0)
+        position = {fid: k for k, fid in enumerate(frame_ids)}
+        natural = max(max(position[f] for f in fids) - min(position[f] for f in fids) for fids in seen.values())
+        assert problem.structure.bandwidth < natural / 2
+
+        truth = world.landmark_positions()
+        rng = np.random.default_rng(2)
+        by_id = {f.frame_id: f for f in frames}
+        poses = {fid: Pose.from_params(by_id[fid].true_pose.params() + rng.normal(scale=0.02, size=6))
+                 for fid in frame_ids}
+        x = problem.pack(poses, {lid: truth[lid] + rng.normal(scale=0.3, size=3) for lid in track_ids})
+        jac, r = problem.jacobian(x), problem.residuals(x)
+        reference = self.dense_step(problem, jac, r, mu)
+        robust = RobustPrefix(n_blocks=problem.nobs, block_size=2, delta=2.0)
+        step = _normal_equations(jac, r, _row_weights(r, robust)).step(mu)
+        assert np.linalg.norm(step - reference) <= 1e-9 * np.linalg.norm(reference)
+
+    @staticmethod
+    def truth_started_street(length):
+        """A zero-noise street, started from the truth plus a small perturbation."""
+        world = street_world(length=length)
         exp = simulate_experience(world, ["main"], experience_id=1, noise=NoiseConfig.zero(),
                                   sim=SimConfig(speed=6.0, frame_rate=1.0), seed=0)
         frames_by_id = {f.frame_id: f for f in exp.frames}
@@ -219,18 +261,60 @@ class TestBundleAdjustInternals:
             for f in exp.frames
         }
         points = {lid: truth[lid] + rng.normal(scale=0.01, size=3) for lid in tracks_by_id}
-        n = 6 * len(poses) + 3 * len(points)
-        assert len(poses) >= 250
+        return poses, points, tracks_by_id, frames_by_id
 
+    @staticmethod
+    def traced_bundle_adjust(poses, points, tracks_by_id, frames_by_id):
+        """bundle_adjust's result and RMSE, and the peak of memory traced while it ran."""
         tracemalloc.start()
         try:
             _, _, result, rmse = bundle_adjust(poses, points, tracks_by_id, frames_by_id, CAMERA, BuildParams())
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
+        return result, rmse, peak
+
+    def test_memory_below_one_dense_normal_matrix(self):
+        # A 250-frame zero-noise street, started from the truth plus a small
+        # perturbation: the solve must converge without ever holding as much
+        # as one dense n x n float64 matrix.
+        poses, points, tracks_by_id, frames_by_id = self.truth_started_street(1500.0)
+        n = 6 * len(poses) + 3 * len(points)
+        assert len(poses) >= 250
+
+        result, rmse, peak = self.traced_bundle_adjust(poses, points, tracks_by_id, frames_by_id)
         assert result.converged
         assert rmse < 1e-8
         assert peak < 8 * n * n
+
+    def test_thousand_frames_below_one_dense_camera_matrix(self):
+        # The split's default subset size: 1001 frames. The reduced camera
+        # system is banded, so the solve must not hold as much as one dense
+        # 6F x 6F float64 matrix (289 MB) either.
+        poses, points, tracks_by_id, frames_by_id = self.truth_started_street(6000.0)
+        p = 6 * len(poses)
+        assert len(poses) >= 1000
+
+        result, rmse, peak = self.traced_bundle_adjust(poses, points, tracks_by_id, frames_by_id)
+        assert result.converged
+        assert rmse < 1e-8
+        assert peak < 8 * p * p
+
+    def test_failed_banded_factorisation_raises_damping(self, monkeypatch):
+        factorisations = []
+
+        def cholesky_banded(ab, **kwargs):
+            factorisations.append(ab.shape)
+            if len(factorisations) == 1:
+                raise np.linalg.LinAlgError("not positive definite")
+            return scipy.linalg.cholesky_banded(ab, **kwargs)
+
+        monkeypatch.setattr(least_squares, "cholesky_banded", cholesky_banded)
+        poses, points, tracks_by_id, frames_by_id = self.truth_started_street(150.0)
+        _, _, result, rmse = bundle_adjust(poses, points, tracks_by_id, frames_by_id, CAMERA, BuildParams())
+        assert result.converged and rmse < 1e-8
+        trials = len(result.cost_history) - 1 + result.rejected_steps
+        assert result.linear_solves == len(factorisations) == trials + 1
 
     def test_cost_history_non_increasing(self):
         world = street_world(length=80.0)

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from cityvps.geometry import (
     NonFinite,
@@ -10,6 +11,7 @@ from cityvps.geometry import (
     robust_cost,
     solve_least_squares,
 )
+from cityvps.geometry import least_squares
 
 
 def test_quadratic_bowl():
@@ -86,3 +88,36 @@ def test_zero_residual_immediate():
     res = solve_least_squares(lambda x: np.zeros(2), np.array([1.0, 2.0]))
     assert res.converged
     assert res.iterations == 0
+
+
+def test_counters_match_cost_history(monkeypatch):
+    # Rosenbrock from the classic start rejects some trial steps. The first
+    # factorisation is made to fail: it counts as a linear solve but not as
+    # a trial step, and only raises the damping.
+    evaluations = []
+
+    def residuals(p):
+        evaluations.append(p)
+        a, b = p
+        return np.array([1.0 - a, 10.0 * (b - a * a)])
+
+    def jacobian(p):
+        return np.array([[-1.0, 0.0], [-20.0 * p[0], 10.0]])
+
+    factorisations = []
+
+    def cho_factor(a, **kwargs):
+        factorisations.append(a)
+        if len(factorisations) == 1:
+            raise np.linalg.LinAlgError("not positive definite")
+        return scipy.linalg.cho_factor(a, **kwargs)
+
+    monkeypatch.setattr(least_squares, "cho_factor", cho_factor)
+    res = solve_least_squares(residuals, np.array([-1.2, 1.0]), jacobian, max_iterations=200)
+    assert res.converged
+    trials = len(evaluations) - 1  # the first evaluates the start
+    accepted = len(res.cost_history) - 1
+    assert res.rejected_steps >= 1
+    assert res.rejected_steps == trials - accepted
+    assert res.linear_solves == len(factorisations) == trials + 1
+    assert res.gradient_norm < 1e-6
