@@ -1,10 +1,8 @@
-"""Experience-based city mapping and visual positioning, at desk scale.
+"""Experience-based city map building, at desk scale.
 
-Synthetic experiences are split into submaps, reconstructed with GPS-prior
-bundle adjustment, verified against INS and kinematics, fused into one
-geo-aligned global map, and served to simulated edge devices that keep
-their local odometry synchronized to the global frame over a simulated
-mobile network.
+Simulated collection runs are split into subsets, reconstructed into
+submaps with GPS- and gravity-prior bundle adjustment, verified against INS
+and kinematics, and fused by Sim3 into one geo-aligned, geo-tiled global map.
 """
 
 __version__ = "0.1.0"

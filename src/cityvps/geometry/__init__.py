@@ -16,11 +16,10 @@ from .pose import GRAVITY_WORLD, Pose, Sim3, umeyama
 from .reproject import (
     BEHIND_RESIDUAL,
     camera_projection,
-    pose_jacobian,
-    pose_residuals,
-    projection_terms,
+    gravity_rows,
     refine_pose,
     reprojection_errors,
+    reprojection_rows,
 )
 from .robust import huber, huber_loss_many, huber_weight_many
 from .so3 import batch_skew
@@ -49,9 +48,8 @@ __all__ = [
     "BEHIND_RESIDUAL",
     "batch_skew",
     "camera_projection",
-    "projection_terms",
-    "pose_residuals",
-    "pose_jacobian",
+    "gravity_rows",
     "refine_pose",
     "reprojection_errors",
+    "reprojection_rows",
 ]

@@ -13,8 +13,9 @@ import numpy as np
 
 from .pose import Pose
 
-# Depth below this is treated as behind the camera.
-MIN_DEPTH = 1e-9
+# Depth at or below this is treated as behind the camera, by the scalar
+# projection here and by the batched projection kernel alike.
+MIN_DEPTH = 1e-6
 
 
 @dataclass(frozen=True)

@@ -112,7 +112,7 @@ def right_jacobian(rotvec):
     if angle < _SMALL_ANGLE:
         return np.eye(3) - 0.5 * k + k2 / 6.0
     a2 = angle * angle
-    c1 = (1.0 - np.cos(angle)) / a2
+    c1 = 2.0 * (np.sin(0.5 * angle) / angle) ** 2  # (1 - cos a) / a^2 without cancellation
     c2 = (angle - np.sin(angle)) / (a2 * angle)
     return np.eye(3) - c1 * k + c2 * k2
 
@@ -121,7 +121,7 @@ def right_jacobian_many(rotvecs):
     """`right_jacobian` of each row of an (n,3) array of rotation vectors -> (n,3,3)."""
     k, k2, a, small = _series_terms(rotvecs)
     a2 = a * a
-    c1 = np.where(small, 0.5, (1.0 - np.cos(a)) / a2)
+    c1 = np.where(small, 0.5, 2.0 * (np.sin(0.5 * a) / a) ** 2)
     c2 = np.where(small, 1.0 / 6.0, (a - np.sin(a)) / (a2 * a))
     return np.eye(3) - c1[:, None, None] * k + c2[:, None, None] * k2
 

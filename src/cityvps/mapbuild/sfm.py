@@ -24,10 +24,10 @@ from ..geometry import (
     NonFinite,
     Pose,
     RobustPrefix,
-    batch_skew,
-    camera_projection,
+    gravity_rows,
     refine_pose,
     reprojection_errors,
+    reprojection_rows,
     so3,
     solve_least_squares,
 )
@@ -41,8 +41,8 @@ class BuildParams:
     gps_sigma_floor: float = 0.1
     # INS gravity prior. Straight-street trajectories leave the roll about
     # the street axis unobservable to reprojection + GPS; the measured
-    # gravity direction pins it. None disables.
-    gravity_sigma_deg: float | None = 0.2
+    # gravity direction pins it.
+    gravity_sigma_deg: float = 0.2
     min_seed_shared_tracks: int = 8
     min_register_matches: int = 4
     yaw_grid: int = 8
@@ -159,7 +159,7 @@ def triangulate_track(track: Track, poses: dict, frames_by_id: dict, camera: Cam
 
 class _BAProblem:
     def __init__(self, frame_ids, track_ids, observations, gps, gps_weights, camera: Camera,
-                 gravity_meas=None, gravity_sqrtw: float = 0.0):
+                 gravity_meas, gravity_sqrtw: float):
         self.frame_ids = list(frame_ids)  # sorted
         self.track_ids = list(track_ids)  # sorted
         self.fidx = {fid: i for i, fid in enumerate(self.frame_ids)}
@@ -174,8 +174,8 @@ class _BAProblem:
         self.nf = len(self.frame_ids)
         self.nl = len(self.track_ids)
         self.nobs = self.obs_f.shape[0]
-        # Optional per-frame measured gravity direction (camera frame).
-        self.gravity = None if gravity_meas is None else np.asarray(gravity_meas, dtype=float)
+        # Per-frame measured gravity direction (camera frame).
+        self.gravity = np.asarray(gravity_meas, dtype=float)
         self.gravity_sqrtw = float(gravity_sqrtw)
         self.structure = BlockStructure(self.obs_f, self.obs_l, self.nf, self.nl)
 
@@ -196,45 +196,28 @@ class _BAProblem:
             points[tid] = x[6 * self.nf + 3 * j : 6 * self.nf + 3 * j + 3].copy()
         return poses, points
 
-    def _frame_arrays(self, x):
+    def _split(self, x):
+        """Rotation vectors, positions and each observation's world point."""
         frames = x[: 6 * self.nf].reshape(self.nf, 6)
-        return so3.exp_many(frames[:, :3]), so3.right_jacobian_many(frames[:, :3]), frames[:, 3:]
-
-    def _observed(self, x):
-        """Per-frame arrays, then each observation's camera-frame point."""
-        rots, jrs, ts = self._frame_arrays(x)
         pts = x[6 * self.nf :].reshape(self.nl, 3)
-        rot = np.take(rots, self.obs_f, axis=0)
-        xc = np.einsum("nji,nj->ni", rot, pts[self.obs_l] - ts[self.obs_f])  # R^T (X - t)
-        return rots, jrs, ts, xc
+        return frames[:, :3], frames[:, 3:], pts[self.obs_l]
 
     def residuals(self, x):
-        rots, _, ts, xc = self._observed(x)
-        proj, _, valid = camera_projection(xc, self.camera)
-        r_obs = np.where(valid[:, None], self.obs_px - proj, BEHIND_RESIDUAL)
+        rotvecs, ts, pts = self._split(x)
+        rots = so3.exp_many(rotvecs)
+        r_obs = reprojection_rows(rots, ts, pts, self.obs_f, self.obs_px, self.camera)
         r_gps = (ts - self.gps) * self.gps_sqrtw[:, None]
-        parts = [r_obs.ravel(), r_gps.ravel()]
-        if self.gravity is not None:
-            g_body = np.einsum("nji,j->ni", rots, GRAVITY_WORLD)  # R^T g_w per frame
-            parts.append(((g_body - self.gravity) * self.gravity_sqrtw).ravel())
-        return np.concatenate(parts)
+        r_gravity = gravity_rows(rots, self.gravity, self.gravity_sqrtw)
+        return np.concatenate([r_obs.ravel(), r_gps.ravel(), r_gravity.ravel()])
 
     def jacobian(self, x) -> BlockJacobian:
-        rots, jrs, _, xc = self._observed(x)
-        _, a, _ = camera_projection(xc, self.camera)
-        # np.take returns C-contiguous stacks, on which matmul is fastest.
-        d_t = a @ np.take(np.transpose(rots, (0, 2, 1)), self.obs_f, axis=0)  # = -A (-R^T)
-        d_rho = -((a @ batch_skew(xc)) @ np.take(jrs, self.obs_f, axis=0))
+        rotvecs, ts, pts = self._split(x)
+        rots, jrs = so3.exp_many(rotvecs), so3.right_jacobian_many(rotvecs)
+        cam, land = reprojection_rows(rots, ts, pts, self.obs_f, self.obs_px, self.camera, jrs)
         gps = np.zeros((self.nf, 3, 6))
         gps[:, [0, 1, 2], [3, 4, 5]] = self.gps_sqrtw[:, None]  # d/dt = sqrt(w) I
-        frame_rows = [gps]
-        if self.gravity is not None:
-            # d(R^T g_w)/drho = skew(R^T g_w) Jr, per frame.
-            g_body = np.einsum("nji,j->ni", rots, GRAVITY_WORLD)
-            gravity = np.zeros((self.nf, 3, 6))
-            gravity[:, :, :3] = self.gravity_sqrtw * (batch_skew(g_body) @ jrs)
-            frame_rows.append(gravity)
-        return BlockJacobian(self.structure, np.concatenate([d_rho, d_t], axis=2), -d_t, frame_rows)
+        gravity = gravity_rows(rots, self.gravity, self.gravity_sqrtw, jrs)
+        return BlockJacobian(self.structure, cam, land, [gps, gravity])
 
 
 def bundle_adjust(poses, points, tracks_by_id, frames_by_id, camera, params: BuildParams, max_iterations=None):
@@ -252,14 +235,10 @@ def bundle_adjust(poses, points, tracks_by_id, frames_by_id, camera, params: Bui
                 observations.append((fid, tid, frames_by_id[fid].pixels[oi]))
     gps = np.array([frames_by_id[fid].gps[:3] for fid in frame_ids])
     weights = np.array([gps_weight_for(frames_by_id[fid].gps[3], params) for fid in frame_ids])
-    gravity = None
-    g_sqrtw = 0.0
-    if params.gravity_sigma_deg is not None:
-        gravity = np.array([frames_by_id[fid].ins_gravity for fid in frame_ids])
-        gravity = gravity / np.linalg.norm(gravity, axis=1, keepdims=True)
-        g_sqrtw = 1.0 / np.deg2rad(params.gravity_sigma_deg)
+    gravity = np.array([frames_by_id[fid].ins_gravity for fid in frame_ids])
+    gravity = gravity / np.linalg.norm(gravity, axis=1, keepdims=True)
     problem = _BAProblem(frame_ids, track_ids, observations, gps, weights, camera,
-                         gravity_meas=gravity, gravity_sqrtw=g_sqrtw)
+                         gravity_meas=gravity, gravity_sqrtw=1.0 / np.deg2rad(params.gravity_sigma_deg))
     robust = RobustPrefix(n_blocks=problem.nobs, block_size=2, delta=params.huber_delta_px)
     result = solve_least_squares(
         problem.residuals,
@@ -297,6 +276,17 @@ def _matches_for_frame(frame_id, frames_by_id, frame_tracks, points):
     return np.array(pts), np.array(pix)
 
 
+def _triangulate_solvable(candidates, points: dict, poses, frames_by_id, camera, params):
+    """Add to `points` each candidate track that has no point yet and >= 2 registered observations."""
+    for track in candidates:
+        if track.track_id in points:
+            continue
+        if sum(1 for f, _ in track.observations if f in poses) >= 2:
+            x = triangulate_track(track, poses, frames_by_id, camera, params)
+            if x is not None:
+                points[track.track_id] = x
+
+
 def _window_score(poses: dict, tracks, frames_by_id, camera, params):
     """Triangulate every track visible from >= 2 of the given poses and
     score mean reprojection over those tracks' window observations.
@@ -304,24 +294,31 @@ def _window_score(poses: dict, tracks, frames_by_id, camera, params):
     Tracks that fail to triangulate count as a large error so hypotheses
     cannot win by explaining away most of the evidence.
     """
+    fids = list(poses)
+    fidx = {fid: i for i, fid in enumerate(fids)}
     points = {}
-    errors = []
+    solved = []  # per window observation: did its track triangulate
+    cams, world, pixels = [], [], []
     for track in tracks:
         in_window = [(f, oi) for f, oi in track.observations if f in poses]
         if len(in_window) < 2:
             continue
         x = triangulate_track(track, poses, frames_by_id, camera, params)
+        solved.extend([x is not None] * len(in_window))
         if x is None:
-            errors.extend([BEHIND_RESIDUAL] * len(in_window))
             continue
         points[track.track_id] = x
         for f, oi in in_window:
-            e = reprojection_errors(
-                poses[f], x[None, :], frames_by_id[f].pixels[oi][None, :], camera
-            )[0]
-            errors.append(min(e, BEHIND_RESIDUAL))
+            cams.append(fidx[f])
+            world.append(x)
+            pixels.append(frames_by_id[f].pixels[oi])
     if not points:
         return None, float("inf")
+    rots = np.array([poses[f].rotation for f in fids])
+    ts = np.array([poses[f].t for f in fids])
+    r = reprojection_rows(rots, ts, np.array(world), np.array(cams), np.array(pixels), camera)
+    errors = np.full(len(solved), BEHIND_RESIDUAL)
+    errors[np.array(solved)] = np.minimum(np.linalg.norm(r, axis=1), BEHIND_RESIDUAL)
     return points, float(np.mean(errors))
 
 
@@ -372,12 +369,14 @@ def build_submap(
 
     fa, fb = frames_by_id[seed_a], frames_by_id[seed_b]
     base_a = gravity_aligned_base(fa.ins_gravity)
-    same_experience = fa.experience_id == fb.experience_id
-    exp_frames_a = sorted(
-        (f for f in frames_by_id.values() if f.experience_id == fa.experience_id),
-        key=lambda f: f.timestamp,
-    )
-    chains = {fa.experience_id: ins_orientation_chain(exp_frames_a)}
+    # Each experience's frames in time order and its INS orientation chain,
+    # for the seed window and for registration inits.
+    exp_frames = {
+        eid: sorted((f for f in frames_by_id.values() if f.experience_id == eid), key=lambda f: f.timestamp)
+        for eid in {frames_by_id[fid].experience_id for fid in frame_ids} | {fa.experience_id}
+    }
+    chains = {eid: ins_orientation_chain(frames) for eid, frames in exp_frames.items()}
+    exp_frames_a = exp_frames[fa.experience_id]
 
     # Seed window: the pair plus nearby frames of its experience. GPS noise
     # on a short two-frame baseline is enough to fold two-view geometry into
@@ -437,18 +436,9 @@ def build_submap(
         poses, points, tracks_by_id, frames_by_id, camera, params, max_iterations=30
     )
 
-    # Orientation chains for every experience present, for registration inits.
-    for fid in frame_ids:
-        eid = frames_by_id[fid].experience_id
-        if eid not in chains:
-            exp_frames = sorted(
-                (f for f in frames_by_id.values() if f.experience_id == eid),
-                key=lambda f: f.timestamp,
-            )
-            chains[eid] = ins_orientation_chain(exp_frames)
-
     failed: dict = {}  # frame id -> match count when registration last failed
     since_ba = 0
+    gravity_sqrtw = 1.0 / np.deg2rad(params.gravity_sigma_deg)
     while True:
         # Next frame: most observations of already-triangulated tracks.
         # Failed frames become eligible again once they can see more points.
@@ -483,17 +473,12 @@ def build_submap(
             for psi in _yaw_candidates(params.yaw_grid):
                 inits.append(Pose.from_matrix(so3.yaw_matrix(psi) @ base, frame.gps[:3]))
 
-        gravity = None
-        if params.gravity_sigma_deg is not None:
-            gravity = (frame.ins_gravity, 1.0 / np.deg2rad(params.gravity_sigma_deg))
         early = len(poses) < params.early_phase_frames
         inlier_px = params.register_inlier_px * (3.0 if early else 1.0)
         best_pose = None
         best_inliers = -1
         for init in inits:
-            pose, _, _ = refine_pose(
-                pts3d, pix, camera, init, huber_delta=params.huber_delta_px, gravity=gravity
-            )
+            pose, _, _ = refine_pose(pts3d, pix, camera, init, frame.ins_gravity, gravity_sqrtw, params.huber_delta_px)
             errs = reprojection_errors(pose, pts3d, pix, camera)
             inliers = int((errs < inlier_px).sum())
             if inliers > best_inliers:
@@ -505,37 +490,21 @@ def build_submap(
         since_ba += 1
 
         # Only tracks observing the new frame can have become solvable.
-        for tid, _ in frame_tracks.get(fid, []):
-            if tid in points:
-                continue
-            track = tracks_by_id[tid]
-            if sum(1 for f, _ in track.observations if f in poses) >= 2:
-                x = triangulate_track(track, poses, frames_by_id, camera, params)
-                if x is not None:
-                    points[tid] = x
+        new_tracks = (tracks_by_id[tid] for tid, _ in frame_tracks.get(fid, []))
+        _triangulate_solvable(new_tracks, points, poses, frames_by_id, camera, params)
         if early or since_ba >= params.periodic_ba_every:
             poses, points, _, _ = bundle_adjust(
                 poses, points, tracks_by_id, frames_by_id, camera, params, max_iterations=15
             )
             # Cleaner geometry: re-triangulate everything solvable and give
             # previously failed frames another chance.
-            for track in tracks:
-                if track.track_id in points:
-                    continue
-                if sum(1 for f, _ in track.observations if f in poses) >= 2:
-                    x = triangulate_track(track, poses, frames_by_id, camera, params)
-                    if x is not None:
-                        points[track.track_id] = x
+            _triangulate_solvable(tracks, points, poses, frames_by_id, camera, params)
             failed.clear()
             since_ba = 0
 
     # Re-triangulate everything from the final incremental poses.
     points = {}
-    for track in tracks:
-        if sum(1 for f, _ in track.observations if f in poses) >= 2:
-            x = triangulate_track(track, poses, frames_by_id, camera, params)
-            if x is not None:
-                points[track.track_id] = x
+    _triangulate_solvable(tracks, points, poses, frames_by_id, camera, params)
 
     discard_reasons = []
     if len(points) < params.min_landmarks:

@@ -6,17 +6,23 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cityvps.geometry import (
+    BEHIND_RESIDUAL,
+    GRAVITY_WORLD,
     Camera,
     Pose,
     Sim3,
     backproject,
     camera_projection,
     huber,
+    numeric_jacobian,
     project,
+    refine_pose,
+    reprojection_errors,
     so3,
     umeyama,
 )
-from cityvps.geometry.reproject import MIN_BA_DEPTH
+from cityvps.geometry import reproject
+from cityvps.geometry.camera import MIN_DEPTH
 
 unit_floats = st.floats(-1.0, 1.0, allow_nan=False, allow_infinity=False)
 angles = st.floats(-3.0, 3.0, allow_nan=False, allow_infinity=False)
@@ -186,7 +192,7 @@ class TestCameraProjection:
             assert np.array_equal(p, self.cam.project_camera_frame(row))
 
     def test_rows_at_or_behind_min_depth_are_invalid(self):
-        xc = np.vstack([self.points(3), [[1.0, 2.0, MIN_BA_DEPTH], [1.0, 2.0, 0.0], [1.0, 2.0, -5.0]]])
+        xc = np.vstack([self.points(3), [[1.0, 2.0, MIN_DEPTH], [1.0, 2.0, 0.0], [1.0, 2.0, -5.0]]])
         pix, a, valid = camera_projection(xc, self.cam)
         assert valid.tolist() == [True] * 3 + [False] * 3
         assert np.isnan(pix[3:]).all() and np.isfinite(pix[:3]).all()
@@ -202,6 +208,57 @@ class TestCameraProjection:
             plus, _, _ = camera_projection(xc + step, self.cam)
             minus, _, _ = camera_projection(xc - step, self.cam)
             assert np.allclose((plus - minus) / (2 * h), a[:, :, j], rtol=1e-6, atol=1e-6)
+
+
+class TestRefinePose:
+    cam = Camera(400.0, 320.0, 240.0, 640, 480)
+    gravity_sqrtw = 1.0 / np.deg2rad(0.2)
+
+    def scene(self, n=20, seed=5):
+        """A random pose, world points in front of it, their exact pixels and its gravity direction."""
+        rng = np.random.default_rng(seed)
+        pose = random_pose(rng)
+        depth = rng.uniform(2.0, 40.0, size=n)
+        xc = np.column_stack([rng.uniform(-0.6, 0.6, n) * depth, rng.uniform(-0.45, 0.45, n) * depth, depth])
+        pix, _, _ = camera_projection(xc, self.cam)
+        return pose, pose.apply_many(xc), pix, pose.rotation.T @ GRAVITY_WORLD
+
+    def test_jacobian_matches_finite_differences(self, monkeypatch):
+        pose, world, pix, gravity = self.scene()
+        rng = np.random.default_rng(8)
+        solve = reproject.solve_least_squares
+        handed = {}
+
+        def spy(residual_fn, x0, jacobian=None, **kwargs):
+            handed.update(residuals=residual_fn, jacobian=jacobian)
+            return solve(residual_fn, x0, jacobian=jacobian, **kwargs)
+
+        monkeypatch.setattr(reproject, "solve_least_squares", spy)
+        refine_pose(world, pix + rng.normal(size=pix.shape), self.cam, pose, gravity, self.gravity_sqrtw, 2.0)
+        x = pose.params() + np.concatenate([rng.normal(scale=0.05, size=3), rng.normal(scale=0.3, size=3)])
+        analytic = handed["jacobian"](x)
+        assert analytic.shape == (2 * len(world) + 3, 6) and analytic[-3:, :3].any()
+        numeric = numeric_jacobian(handed["residuals"], x)
+        scale = max(1.0, np.abs(analytic).max())
+        assert np.abs(analytic - numeric).max() / scale < 1e-5
+
+    def test_zero_noise_recovers_truth_from_perturbed_start(self):
+        pose, world, pix, gravity = self.scene()
+        rng = np.random.default_rng(9)
+        init = Pose.from_params(
+            pose.params() + np.concatenate([rng.normal(scale=0.05, size=3), rng.normal(scale=0.5, size=3)])
+        )
+        est, rms, converged = refine_pose(world, pix, self.cam, init, gravity, self.gravity_sqrtw, 2.0)
+        assert converged and rms < 1e-9
+        assert so3.geodesic_angle(est.q, pose.q) < 1e-9
+        assert np.abs(est.t - pose.t).max() < 1e-9
+
+    def test_point_behind_camera_reads_behind_residual(self):
+        pose, world, pix, _ = self.scene(n=3)
+        behind = pose.apply(np.array([0.5, -0.2, -4.0]))
+        errs = reprojection_errors(pose, np.vstack([world, behind]), np.vstack([pix, [320.0, 240.0]]), self.cam)
+        assert errs[-1] == BEHIND_RESIDUAL
+        assert errs[:-1].max() < 1e-9
 
 
 # Rotation vectors across both branches of the series: exactly zero, below

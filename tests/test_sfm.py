@@ -77,14 +77,14 @@ class TestZeroNoise:
         tru = np.array([frames_by_id[f].true_pose.t for f in fids])
         # Absolute positions (GPS term active): within 1e-4 m.
         assert np.abs(est - tru).max() < 1e-4
-        # After optimal rigid alignment: 1e-6 m and 1e-6 rad.
+        # After optimal rigid alignment: 1e-6 m.
         align = umeyama(est, tru, with_scale=False)
         assert np.linalg.norm(align.apply_many(est) - tru, axis=1).max() < 1e-6
+        # Orientations against the truth directly, 1e-6 rad: the positions of
+        # a straight street are collinear, so the alignment's roll about the
+        # street axis is set by rounding and cannot carry this check.
         for f in fids:
-            ang = so3.geodesic_angle(
-                so3.quat_multiply(align.q, submap.poses[f].q), frames_by_id[f].true_pose.q
-            )
-            assert ang < 1e-6
+            assert so3.geodesic_angle(submap.poses[f].q, frames_by_id[f].true_pose.q) < 1e-6
 
     def test_landmarks_match_world(self):
         world = street_world()
