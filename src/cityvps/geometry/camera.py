@@ -39,11 +39,12 @@ class Camera:
             return None
         return np.array([self.focal * x / z + self.cx, self.focal * y / z + self.cy])
 
-    def ray(self, pixel):
-        """Unit ray direction in the camera frame through a pixel."""
-        u, v = pixel
-        d = np.array([(u - self.cx) / self.focal, (v - self.cy) / self.focal, 1.0])
-        return d / np.linalg.norm(d)
+    def rays(self, pixels):
+        """Unit ray directions in the camera frame through (n,2) pixels -> (n,3)."""
+        pixels = np.asarray(pixels, dtype=float)
+        d = np.ones((pixels.shape[0], 3))
+        d[:, :2] = (pixels - [self.cx, self.cy]) / self.focal
+        return d / np.linalg.norm(d, axis=1, keepdims=True)
 
 
 def project(point_world, pose: Pose, camera: Camera):

@@ -14,13 +14,15 @@ is solved whole: H = J^T J is damped and Cholesky-factored. A
 Jacobian through to the factorisation. Its normal equations are assembled
 from stacked per-observation blocks into U (6x6 per camera), V (3x3 per
 landmark) and W (6x3 per observation). Each damped step eliminates the
-landmarks (Schur complement): S = U - W V^-1 W^T is formed as a block-sparse
-product, scattered into upper band storage in a reverse Cuthill-McKee
-camera order, factored by a banded Cholesky, and the landmarks follow by
-back-substitution. On a street only nearby frames share landmarks, so S is
-banded and the cost grows linearly with the number of frames (Triggs et
-al., "Bundle Adjustment - A Modern Synthesis"; Konolige, "Sparse Sparse
-Bundle Adjustment"; Agarwal et al., "Bundle Adjustment in the Large").
+landmarks (Schur complement): S = U - W V^-1 W^T. Its W V^-1 W^T term is
+one stacked matmul of 6x3 by 3x6 blocks over the observation pairs of each
+landmark, summed into 6x6 camera blocks by a 0/1 matrix. S is scattered
+into upper band storage in a reverse Cuthill-McKee camera order, factored
+by a banded Cholesky, and the landmarks follow by back-substitution. On a
+street only nearby frames share landmarks, so S is banded and the cost
+grows linearly with the number of frames (Triggs et al., "Bundle
+Adjustment - A Modern Synthesis"; Konolige, "Sparse Sparse Bundle
+Adjustment"; Agarwal et al., "Bundle Adjustment in the Large").
 """
 
 from __future__ import annotations

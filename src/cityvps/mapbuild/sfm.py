@@ -7,6 +7,10 @@ registering the remaining frames in covisibility order, each refined by a
 robust single-pose solve; (4) re-triangulating everything and running a
 full bundle adjustment that jointly minimizes robust reprojection error and
 the GPS prior on camera positions.
+
+Triangulation, in (2), (4) and after each registration and bundle
+adjustment, is one batched midpoint solve per call over all the tracks it is
+given (`triangulate_tracks`), not one solve per track.
 """
 
 from __future__ import annotations
@@ -100,57 +104,117 @@ def gravity_aligned_base(gravity_body) -> np.ndarray:
 # Triangulation
 
 
-def triangulate_midpoint(origins, directions, min_angle_deg: float, min_depth: float):
-    """Midpoint of the rays (origin, unit direction); None when degenerate.
+def triangulate_midpoints(origins, directions, starts, min_angle_deg: float, min_depth: float):
+    """Midpoints of many tracks' rays (origin, unit direction) at once.
 
-    Rejects tracks whose maximum pairwise ray angle is below the threshold
-    or whose point lands behind (or too close to) any observing camera.
+    Track k owns rows ``starts[k]:starts[k + 1]`` (the last runs to the
+    end), and each track has at least two rays. Returns (points (T,3),
+    ok (T,)). A track is rejected when its largest pairwise ray angle is
+    below `min_angle_deg`, its 3x3 normal system is singular, or its point
+    lies at depth <= `min_depth` along any of its rays (behind or too close
+    to an observing camera); its row of `points` is then meaningless.
     """
     origins = np.asarray(origins, dtype=float)
     directions = np.asarray(directions, dtype=float)
-    n = origins.shape[0]
-    if n < 2:
-        return None
-    dots = np.clip(directions @ directions.T, -1.0, 1.0)
-    iu = np.triu_indices(n, k=1)
-    max_angle = float(np.max(np.degrees(np.arccos(dots[iu]))))
-    if max_angle < min_angle_deg:
-        return None
-    eye = np.eye(3)
-    a = np.zeros((3, 3))
-    b = np.zeros(3)
-    for o, d in zip(origins, directions):
-        m = eye - np.outer(d, d)
-        a += m
-        b += m @ o
+    starts = np.asarray(starts, dtype=int)
+    m = origins.shape[0]
+    counts = np.diff(np.append(starts, m))
+    track = np.repeat(np.arange(starts.size), counts)
+    # Every ray pair (i, j > i) of a track; the pairs of one track are
+    # contiguous and each track has at least one.
+    partners = np.repeat(starts + counts, counts) - np.arange(m) - 1
+    first_pair = np.cumsum(partners) - partners
+    i = np.repeat(np.arange(m), partners)
+    j = i + 1 + np.arange(i.size) - np.repeat(first_pair, partners)
+    dots = np.clip(np.einsum("ij,ij->i", directions[i], directions[j]), -1.0, 1.0)
+    max_angle = np.degrees(np.arccos(np.minimum.reduceat(dots, first_pair[starts])))
+    ok = max_angle >= min_angle_deg
+
+    # Closest point to the rays: sum_k (I - d_k d_k^T) x = sum_k (I - d_k d_k^T) o_k.
+    proj = np.eye(3) - directions[:, :, None] * directions[:, None, :]
+    a = np.add.reduceat(proj, starts)
+    b = np.add.reduceat(np.einsum("kij,kj->ki", proj, origins), starts)
+    points = np.zeros((starts.size, 3))
+    x, solved = _solve_each(a[ok], b[ok])
+    points[ok] = x
+    ok[ok] = solved
+    depths = np.einsum("ij,ij->i", points[track] - origins, directions)
+    ok &= np.minimum.reduceat(depths, starts) > min_depth
+    return points, ok
+
+
+def _solve_each(a, b):
+    """x with a[k] x[k] = b[k] for a stack of 3x3 systems, and which were solvable.
+
+    A stacked solve raises for the whole stack when any one matrix is
+    singular; then each system is solved alone, so a singular one is
+    rejected by itself.
+    """
     try:
-        x = np.linalg.solve(a, b)
+        return np.linalg.solve(a, b[:, :, None])[:, :, 0], np.ones(len(a), dtype=bool)
     except np.linalg.LinAlgError:
-        return None
-    depths = np.einsum("ij,ij->i", x[None, :] - origins, directions)
-    if np.any(depths <= min_depth):
-        return None
-    return x
+        x = np.zeros_like(b)
+        solved = np.ones(len(a), dtype=bool)
+        for k in range(len(a)):
+            try:
+                x[k] = np.linalg.solve(a[k], b[k])
+            except np.linalg.LinAlgError:
+                solved[k] = False
+        return x, solved
 
 
-def triangulate_track(track: Track, poses: dict, frames_by_id: dict, camera: Camera, params: BuildParams):
-    origins = []
-    directions = []
-    for fid, oi in track.observations:
-        pose = poses.get(fid)
-        if pose is None:
-            continue
-        pixel = frames_by_id[fid].pixels[oi]
-        origins.append(pose.t)
-        directions.append(pose.rotation @ camera.ray(pixel))
+def triangulate_midpoint(origins, directions, min_angle_deg: float, min_depth: float):
+    """Midpoint of the rays (origin, unit direction); None when degenerate.
+
+    The one-track case of `triangulate_midpoints`, with its rejection rules.
+    """
     if len(origins) < 2:
         return None
-    return triangulate_midpoint(
-        np.array(origins),
-        np.array(directions),
+    points, ok = triangulate_midpoints(origins, directions, [0], min_angle_deg, min_depth)
+    return points[0] if ok[0] else None
+
+
+def triangulate_tracks(tracks, poses: dict, frames_by_id: dict, camera: Camera, params: BuildParams) -> dict:
+    """{track_id: midpoint} of the given tracks, by one batched solve.
+
+    Only observations in registered frames (`poses`) count. Tracks with
+    fewer than two of them, or rejected by `triangulate_midpoints`, are
+    left out. Each frame's rotation is computed once and all rays come from
+    one `Camera.rays` call.
+    """
+    track_ids, starts, observed = [], [], []
+    for track in tracks:
+        registered = [(fid, oi) for fid, oi in track.observations if fid in poses]
+        if len(registered) < 2:
+            continue
+        track_ids.append(track.track_id)
+        starts.append(len(observed))
+        observed.extend(registered)
+    if not track_ids:
+        return {}
+    column = {fid: k for k, fid in enumerate(dict.fromkeys(fid for fid, _ in observed))}
+    rots = np.array([poses[fid].rotation for fid in column])
+    ts = np.array([poses[fid].t for fid in column])
+    cams = np.array([column[fid] for fid, _ in observed])
+    rays = camera.rays(np.array([frames_by_id[fid].pixels[oi] for fid, oi in observed]))
+    points, ok = triangulate_midpoints(
+        ts[cams],
+        np.einsum("kij,kj->ki", rots[cams], rays),
+        starts,
         params.min_triangulation_angle_deg,
         params.min_triangulation_depth,
     )
+    return {tid: points[k] for k, tid in enumerate(track_ids) if ok[k]}
+
+
+def triangulate_track(track: Track, poses: dict, frames_by_id: dict, camera: Camera, params: BuildParams):
+    """Midpoint of one track's registered rays, or None: `triangulate_tracks` of one track.
+
+    The pipeline batches its tracks and does not call this. It is kept
+    because the benchmark's traced run (``perfbench/tracing.py``) rebinds
+    ``sfm.triangulate_track`` by name and fails without it.
+    """
+    return triangulate_tracks([track], poses, frames_by_id, camera, params).get(track.track_id)
 
 
 # ---------------------------------------------------------------------------
@@ -277,14 +341,9 @@ def _matches_for_frame(frame_id, frames_by_id, frame_tracks, points):
 
 
 def _triangulate_solvable(candidates, points: dict, poses, frames_by_id, camera, params):
-    """Add to `points` each candidate track that has no point yet and >= 2 registered observations."""
-    for track in candidates:
-        if track.track_id in points:
-            continue
-        if sum(1 for f, _ in track.observations if f in poses) >= 2:
-            x = triangulate_track(track, poses, frames_by_id, camera, params)
-            if x is not None:
-                points[track.track_id] = x
+    """Add to `points` each candidate track that has no point yet and triangulates from its registered observations."""
+    unsolved = [track for track in candidates if track.track_id not in points]
+    points.update(triangulate_tracks(unsolved, poses, frames_by_id, camera, params))
 
 
 def _window_score(poses: dict, tracks, frames_by_id, camera, params):
@@ -296,18 +355,17 @@ def _window_score(poses: dict, tracks, frames_by_id, camera, params):
     """
     fids = list(poses)
     fidx = {fid: i for i, fid in enumerate(fids)}
-    points = {}
+    points = triangulate_tracks(tracks, poses, frames_by_id, camera, params)
     solved = []  # per window observation: did its track triangulate
     cams, world, pixels = [], [], []
     for track in tracks:
         in_window = [(f, oi) for f, oi in track.observations if f in poses]
         if len(in_window) < 2:
             continue
-        x = triangulate_track(track, poses, frames_by_id, camera, params)
+        x = points.get(track.track_id)
         solved.extend([x is not None] * len(in_window))
         if x is None:
             continue
-        points[track.track_id] = x
         for f, oi in in_window:
             cams.append(fidx[f])
             world.append(x)

@@ -5,6 +5,8 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from cityvps.geometry import (
     NonFinite,
@@ -31,7 +33,7 @@ from cityvps.mapbuild import (
     verify_submap,
 )
 from cityvps.mapbuild import sfm
-from cityvps.mapbuild.sfm import _BAProblem, gps_weight_for
+from cityvps.mapbuild.sfm import _BAProblem, gps_weight_for, triangulate_midpoints
 from cityvps.worldsim import (
     Experience,
     Frame,
@@ -423,6 +425,92 @@ class TestTriangulation:
             -(target - origins[1]) / np.linalg.norm(target - origins[1]),
         ])
         assert triangulate_midpoint(origins, dirs, 1.0, 0.05) is None
+
+
+def reference_midpoint(origins, directions, min_angle_deg, min_depth):
+    """One track's midpoint, one ray at a time: the reference for `triangulate_midpoints`."""
+    n = origins.shape[0]
+    if n < 2:
+        return None
+    dots = np.clip(directions @ directions.T, -1.0, 1.0)
+    iu = np.triu_indices(n, k=1)
+    max_angle = float(np.max(np.degrees(np.arccos(dots[iu]))))
+    if max_angle < min_angle_deg:
+        return None
+    eye = np.eye(3)
+    a = np.zeros((3, 3))
+    b = np.zeros(3)
+    for o, d in zip(origins, directions):
+        m = eye - np.outer(d, d)
+        a += m
+        b += m @ o
+    try:
+        x = np.linalg.solve(a, b)
+    except np.linalg.LinAlgError:
+        return None
+    depths = np.einsum("ij,ij->i", x[None, :] - origins, directions)
+    if np.any(depths <= min_depth):
+        return None
+    return x
+
+
+TRACK_KINDS = ("accepted", "low_parallax", "behind", "parallel")
+AXES = np.vstack([np.eye(3), -np.eye(3)])
+
+
+def track_rays(kind, n, rng):
+    """(origins, unit directions) of one n-ray track of the given kind.
+
+    accepted: a 12 m baseline at 15-45 m, rays noisy by about 1e-3 rad.
+    low_parallax: exact rays whose largest angle is 0.1-0.8 deg.
+    behind: exact rays pointing away from the point they meet at.
+    parallel: one axis direction for every ray, so I - d d^T is exactly
+    singular and the normal system has a zero pivot.
+    """
+    point = rng.uniform([-10.0, -10.0, 15.0], [10.0, 10.0, 40.0])
+    if kind == "parallel":
+        return rng.uniform(-5.0, 5.0, (n, 3)), np.repeat(AXES[rng.integers(6)][None], n, axis=0)
+    if kind == "low_parallax":
+        baseline = np.linalg.norm(point) * np.tan(np.radians(rng.uniform(0.2, 0.8)))
+        along = np.concatenate([[0.0, 1.0], rng.uniform(0.0, 1.0, n - 2)])
+        origins = np.outer(along * baseline, [1.0, 0.0, 0.0])
+    else:
+        origins = rng.uniform(-6.0, 6.0, (n, 3))
+        origins[:2] = [[-6.0, 0.0, 0.0], [6.0, 0.0, 0.0]] + rng.uniform(-1.0, 1.0, (2, 3))
+    dirs = point - origins
+    if kind == "accepted":
+        dirs = dirs / np.linalg.norm(dirs, axis=1, keepdims=True) + rng.normal(scale=1e-3, size=(n, 3))
+    elif kind == "behind":
+        dirs = -dirs
+    return origins, dirs / np.linalg.norm(dirs, axis=1, keepdims=True)
+
+
+class TestBatchedTriangulation:
+    @given(
+        st.lists(st.tuples(st.sampled_from(TRACK_KINDS), st.integers(2, 6)), min_size=1, max_size=8),
+        st.sampled_from([0.0, 1.0]),
+        st.integers(0, 2**32 - 1),
+    )
+    @example(tracks=[("accepted", 3), ("parallel", 2), ("low_parallax", 4), ("behind", 2)], min_angle_deg=0.0, seed=0)
+    @settings(max_examples=200, deadline=None)
+    def test_matches_per_track_reference(self, tracks, min_angle_deg, seed):
+        """Same accepted set and points to 1e-9 relative; a singular track fails alone."""
+        rng = np.random.default_rng(seed)
+        rays = [track_rays(kind, n, rng) for kind, n in tracks]
+        starts = np.cumsum([0] + [n for _, n in tracks[:-1]])
+        points, ok = triangulate_midpoints(
+            np.concatenate([o for o, _ in rays]), np.concatenate([d for _, d in rays]), starts, min_angle_deg, 0.05
+        )
+        assert ok.shape == (len(tracks),)
+        for k, ((kind, _), (origins, dirs)) in enumerate(zip(tracks, rays)):
+            expected = reference_midpoint(origins, dirs, min_angle_deg, 0.05)
+            # The generator makes the kinds it claims.
+            assert (expected is not None) == (kind == "accepted" or (kind == "low_parallax" and min_angle_deg == 0.0))
+            assert ok[k] == (expected is not None), kind
+            # The batch sums in another order; 1e-9 relative covers that
+            # rounding through the low-parallax systems' conditioning.
+            if expected is not None:
+                assert np.linalg.norm(points[k] - expected) <= 1e-9 * np.linalg.norm(expected)
 
 
 class TestVerify:
