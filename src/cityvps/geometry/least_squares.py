@@ -7,10 +7,18 @@ all remaining rows contribute plain squared error. Steps are accepted only
 if the true (robust) cost decreases, so the recorded cost history is
 non-increasing by construction.
 
+The block norms of each evaluated residual vector are computed once and
+serve both its cost and, once it is accepted, its IRLS weights.
+
 The solver dispatches on the Jacobian's type. A dense ndarray (single-pose
 refinement, fusion, the central-difference Jacobian of ``jacobian=None``)
-is solved whole: H = J^T J is damped and Cholesky-factored. A
-``BlockJacobian`` (bundle adjustment) keeps its block structure from the
+is solved whole: H = J^T J is damped and Cholesky-factored by LAPACK
+``potrf`` and ``potrs`` called directly. These are the routines
+``scipy.linalg.cho_factor`` and ``cho_solve`` call, so the steps are the
+same to the bit. On a 6x6 registration system the wrappers' argument
+handling was most of a damped step: 25 us through them, 7-9 us without.
+
+A ``BlockJacobian`` (bundle adjustment) keeps its block structure from the
 Jacobian through to the factorisation. Its normal equations are assembled
 from stacked per-observation blocks into U (6x6 per camera), V (3x3 per
 landmark) and W (6x3 per observation). Each damped step eliminates the
@@ -31,7 +39,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg import cho_factor, cho_solve, cho_solve_banded, cholesky_banded
+from scipy.linalg import cho_solve_banded, cholesky_banded, get_lapack_funcs
 from scipy.sparse.csgraph import reverse_cuthill_mckee
 
 from .robust import huber_loss_many, huber_weight_many
@@ -67,17 +75,18 @@ class SolveResult:
     gradient_norm: float = 0.0  # |J^T r| at the last point the normal equations were formed
 
 
-def _block_norms(r, prefix: RobustPrefix):
-    blocks = r[: prefix.rows()].reshape(prefix.n_blocks, prefix.block_size)
-    return np.linalg.norm(blocks, axis=1)
-
-
-def robust_cost(r, prefix: RobustPrefix | None):
-    """True objective: Huber over prefix blocks plus 0.5 * sum of plain rows squared."""
-    r = np.asarray(r, dtype=float)
+def _block_norms(r, prefix: RobustPrefix | None):
+    """Norms of the robustified blocks of r, or None without a robust prefix."""
     if prefix is None or prefix.n_blocks == 0:
+        return None
+    blocks = r[: prefix.rows()].reshape(prefix.n_blocks, prefix.block_size)
+    return np.sqrt(np.add.reduce(blocks * blocks, axis=1))  # np.linalg.norm(blocks, axis=1), without its dispatch
+
+
+def _cost(r, prefix: RobustPrefix | None, norms):
+    """robust_cost of r whose block norms are `norms`."""
+    if norms is None:
         return 0.5 * float(r @ r)
-    norms = _block_norms(r, prefix)
     losses = huber_loss_many(norms, prefix.delta)
     if prefix.weights is not None:
         losses = losses * prefix.weights
@@ -85,10 +94,18 @@ def robust_cost(r, prefix: RobustPrefix | None):
     return float(losses.sum()) + 0.5 * float(tail @ tail)
 
 
-def _row_weights(r, prefix: RobustPrefix | None):
+def robust_cost(r, prefix: RobustPrefix | None):
+    """True objective: Huber over prefix blocks plus 0.5 * sum of plain rows squared."""
+    r = np.asarray(r, dtype=float)
+    return _cost(r, prefix, _block_norms(r, prefix))
+
+
+def _row_weights(r, prefix: RobustPrefix | None, norms=None):
+    """IRLS row weights of r, from its block norms when they are given."""
     if prefix is None or prefix.n_blocks == 0:
         return None
-    norms = _block_norms(r, prefix)
+    if norms is None:
+        norms = _block_norms(r, prefix)
     w = huber_weight_many(norms, prefix.delta)
     if prefix.weights is not None:
         w = w * prefix.weights
@@ -217,6 +234,20 @@ def _floored(diag):
     return diag
 
 
+_potrf, _potrs = get_lapack_funcs(("potrf", "potrs"), dtype=np.float64)
+
+
+def _cholesky(a):
+    """Upper Cholesky factor of symmetric `a`, as scipy.linalg.cho_factor computes it.
+
+    Raises LinAlgError when `a` is not positive definite.
+    """
+    c, info = _potrf(a, lower=False, overwrite_a=True, clean=False)
+    if info > 0:
+        raise np.linalg.LinAlgError(f"{info}-th leading minor of the array is not positive definite")
+    return c
+
+
 class _DenseNormalEquations:
     """H = J^T J and g = J^T r of a dense Jacobian, solved whole.
 
@@ -230,15 +261,16 @@ class _DenseNormalEquations:
             jw, r = sw[:, None] * jw, sw * r
         self.hess = jw.T @ jw
         self.grad = jw.T @ r
-        if not (np.all(np.isfinite(self.hess)) and np.all(np.isfinite(self.grad))):
+        if not (np.isfinite(self.hess).all() and np.isfinite(self.grad).all()):
             raise NonFinite("non-finite normal equations")
         self.diag = _floored(self.hess.diagonal())
 
     def step(self, mu: float) -> np.ndarray:
         """Solve (H + mu diag(d)) step = -g; raises LinAlgError if it fails to factor."""
         s = self.hess.copy()
-        s[np.diag_indices(s.shape[0])] += mu * self.diag
-        return cho_solve(cho_factor(s, overwrite_a=True, check_finite=False), -self.grad, check_finite=False)
+        s.reshape(-1)[:: s.shape[0] + 1] += mu * self.diag
+        # potrs only reports illegal arguments, which these shapes rule out.
+        return _potrs(_cholesky(s), -self.grad, lower=False)[0]
 
 
 class _BlockNormalEquations:
@@ -357,9 +389,10 @@ def solve_least_squares(
         jac_fn = jacobian
 
     r = np.asarray(residual_fn(x), dtype=float)
-    if not np.all(np.isfinite(r)):
+    if not np.isfinite(r).all():
         raise NonFinite("non-finite residuals at initial parameters")
-    cost = robust_cost(r, robust)
+    norms = _block_norms(r, robust)  # once per evaluated point, for its cost and its IRLS weights
+    cost = _cost(r, robust, norms)
     history = [cost]
     if cost == 0.0:
         return SolveResult(x, cost, True, 0, "zero cost at start", history)
@@ -373,7 +406,7 @@ def solve_least_squares(
 
     while iteration < max_iterations:
         iteration += 1
-        normal = _normal_equations(jac_fn(x), r, _row_weights(r, robust))
+        normal = _normal_equations(jac_fn(x), r, _row_weights(r, robust, norms))
         gradient_norm = float(np.linalg.norm(normal.grad))
         accepted = False
         while mu <= damping_max:
@@ -383,12 +416,13 @@ def solve_least_squares(
             except np.linalg.LinAlgError:
                 mu *= 10.0
                 continue
-            if not np.all(np.isfinite(step)):
+            if not np.isfinite(step).all():
                 raise NonFinite("non-finite update step")
             x_trial = x + step
             r_trial = np.asarray(residual_fn(x_trial), dtype=float)
-            if np.all(np.isfinite(r_trial)):
-                cost_trial = robust_cost(r_trial, robust)
+            if np.isfinite(r_trial).all():
+                norms_trial = _block_norms(r_trial, robust)
+                cost_trial = _cost(r_trial, robust, norms_trial)
                 if cost_trial < cost:
                     accepted = True
                     break
@@ -401,7 +435,7 @@ def solve_least_squares(
             break
 
         decrease = cost - cost_trial
-        x, r, cost = x_trial, r_trial, cost_trial
+        x, r, norms, cost = x_trial, r_trial, norms_trial, cost_trial
         history.append(cost)
         mu = max(mu / 3.0, 1e-12)
         if decrease <= rel_cost_tol * max(cost, 1e-300):

@@ -10,10 +10,18 @@ producing non-finite values.
 ``camera_projection`` is the one projection kernel: camera-frame points to
 pixels, their dpixel/dx_cam blocks and validity; the simulator's
 observations go through it too. ``reprojection_rows`` and ``gravity_rows``
-are the one observation model over a set of cameras: single-pose
-refinement is their one-camera case with its points held fixed, seed
-window scoring evaluates them once per window, and bundle adjustment adds
-its GPS rows to them.
+are the one observation model over a set of cameras: seed window scoring
+evaluates them once per window, and bundle adjustment adds its GPS rows to
+them. ``reprojection_rows`` is ``project_observations`` followed by
+``observation_residuals`` or ``observation_blocks``, so that a projection
+can serve both.
+
+Single-pose refinement (``PoseModel``) is the one-camera case with its
+points held fixed, and it projects once per LM point. Levenberg-Marquardt
+asks for the Jacobian at the point whose residuals it has just accepted, so
+the model keeps the projection of the last pose it evaluated and its
+Jacobian reuses it only at that same pose, compared byte for byte; anywhere
+else it projects afresh. The reuse changes no number.
 """
 
 from __future__ import annotations
@@ -39,38 +47,58 @@ def camera_projection(xc, camera: Camera):
     valid = z > MIN_DEPTH
     zs = np.where(valid, z, 1.0)
     f = camera.focal
-    pix = np.empty((xc.shape[0], 2))
-    pix[:, 0] = f * xc[:, 0] / zs + camera.cx
-    pix[:, 1] = f * xc[:, 1] / zs + camera.cy
-    pix[~valid] = np.nan
+    pix = f * xc[:, :2] / zs[:, None] + np.array([camera.cx, camera.cy])
     a = np.zeros((xc.shape[0], 2, 3))
     a[:, 0, 0] = a[:, 1, 1] = f / zs
-    zz = zs * zs
-    a[:, 0, 2] = -f * xc[:, 0] / zz
-    a[:, 1, 2] = -f * xc[:, 1] / zz
-    a[~valid] = 0.0
+    a[:, :, 2] = -f * xc[:, :2] / (zs * zs)[:, None]
+    if not valid.all():
+        pix[~valid] = np.nan
+        a[~valid] = 0.0
     return pix, a, valid
 
 
-def reprojection_rows(rots, ts, points, cams, pixels, camera: Camera, jrs=None):
-    """Residuals of observations, or their Jacobian blocks when `jrs` is given.
+def project_observations(rots, ts, points, cams, camera: Camera):
+    """The projection of observations: what their residuals and Jacobian blocks share.
 
     Observation k sees world point `points[k]` from camera `cams[k]`, whose
-    rotation, position and right Jacobian are `rots`, `ts` and `jrs` (F,...).
-    Returns the (m,2) residuals pixel - projection (BEHIND_RESIDUAL on
-    behind-camera rows) or, with `jrs`, the camera blocks (m,2,6) on
-    [rotvec, t] and the point blocks (m,2,3).
+    rotation and position are `rots` and `ts` (F,...). Returns (xc (m,3),
+    pix, A, valid): the camera-frame points R^T (X - t) and their
+    ``camera_projection``.
     """
     rot = np.take(rots, cams, axis=0)
     xc = np.einsum("nji,nj->ni", rot, points - ts[cams])  # R^T (X - t)
-    pix, a, valid = camera_projection(xc, camera)
-    if jrs is None:
-        return np.where(valid[:, None], pixels - pix, BEHIND_RESIDUAL)
+    return (xc, *camera_projection(xc, camera))
+
+
+def observation_residuals(projection, pixels):
+    """(m,2) residuals pixel - projection; behind-camera rows read BEHIND_RESIDUAL."""
+    _, pix, _, valid = projection
+    return np.where(valid[:, None], pixels - pix, BEHIND_RESIDUAL)
+
+
+def observation_blocks(projection, rots, cams, jrs):
+    """Jacobian blocks of the residuals at `projection`: camera (m,2,6) on [rotvec, t] and point (m,2,3).
+
+    `rots` and `jrs` are the cameras' rotations and right Jacobians (F,3,3).
+    """
+    xc, _, a, _ = projection
     # dxc/drho = skew(xc) Jr ; dxc/dt = -R^T = -dxc/dX ; residual = pixel - proj.
     # np.take returns C-contiguous stacks, on which matmul is fastest.
     d_t = a @ np.take(np.transpose(rots, (0, 2, 1)), cams, axis=0)
     d_rho = -((a @ so3.batch_skew(xc)) @ np.take(jrs, cams, axis=0))
     return np.concatenate([d_rho, d_t], axis=2), -d_t
+
+
+def reprojection_rows(rots, ts, points, cams, pixels, camera: Camera, jrs=None):
+    """Residuals of observations, or their Jacobian blocks when `jrs` is given.
+
+    One projection followed by ``observation_residuals`` or, with the
+    cameras' right Jacobians `jrs`, by ``observation_blocks``.
+    """
+    projection = project_observations(rots, ts, points, cams, camera)
+    if jrs is None:
+        return observation_residuals(projection, pixels)
+    return observation_blocks(projection, rots, cams, jrs)
 
 
 def gravity_rows(rots, gravity, sqrtw: float, jrs=None):
@@ -85,6 +113,42 @@ def gravity_rows(rots, gravity, sqrtw: float, jrs=None):
     blocks = np.zeros((rots.shape[0], 3, 6))
     blocks[:, :, :3] = sqrtw * (so3.batch_skew(g_body) @ jrs)
     return blocks
+
+
+class PoseModel:
+    """Reprojection and gravity rows of one pose against fixed world points.
+
+    Parameters are [rotvec, t]. The projection at the last pose evaluated
+    is kept, keyed on that pose's exact bytes: the solver asks for the
+    Jacobian at the point whose residuals it has just accepted, and the
+    Jacobian reuses the projection at that point only.
+    """
+
+    def __init__(self, points_world, pixels, camera: Camera, gravity_meas, gravity_sqrtw: float):
+        self.points, self.pixels, self.camera = points_world, pixels, camera
+        self.cams = np.zeros(points_world.shape[0], dtype=int)
+        self.gravity, self.gravity_sqrtw = gravity_meas, gravity_sqrtw
+        self._key = self._rot = self._projection = None
+
+    def _project(self, p):
+        key = p.tobytes()
+        if key != self._key:
+            # The scalar so3 helpers: on one pose the batched ones cost twice as much.
+            self._rot = so3.exp(p[:3])[None]
+            self._projection = project_observations(self._rot, p[None, 3:], self.points, self.cams, self.camera)
+            self._key = key
+        return self._rot, self._projection
+
+    def residuals(self, p):
+        rot, projection = self._project(p)
+        r = observation_residuals(projection, self.pixels)
+        return np.concatenate([r.ravel(), gravity_rows(rot, self.gravity, self.gravity_sqrtw).ravel()])
+
+    def jacobian(self, p):
+        rot, projection = self._project(p)
+        jr = so3.right_jacobian(p[:3])[None]
+        cam, _ = observation_blocks(projection, rot, self.cams, jr)
+        return np.vstack([cam.reshape(-1, 6), gravity_rows(rot, self.gravity, self.gravity_sqrtw, jr)[0]])
 
 
 def refine_pose(
@@ -106,29 +170,16 @@ def refine_pose(
     points_world = np.asarray(points_world, dtype=float)
     pixels = np.asarray(pixels, dtype=float)
     n = points_world.shape[0]
-    cams = np.zeros(n, dtype=int)
     g_meas = np.asarray(gravity_meas, dtype=float)[None]
-    g_meas = g_meas / np.linalg.norm(g_meas)
-
-    # The scalar so3 helpers: on one pose the batched ones cost twice as much.
-    def residuals(p):
-        rot = so3.exp(p[:3])[None]
-        r = reprojection_rows(rot, p[None, 3:], points_world, cams, pixels, camera)
-        return np.concatenate([r.ravel(), gravity_rows(rot, g_meas, gravity_sqrtw).ravel()])
-
-    def jacobian(p):
-        rot, jr = so3.exp(p[:3])[None], so3.right_jacobian(p[:3])[None]
-        cam, _ = reprojection_rows(rot, p[None, 3:], points_world, cams, pixels, camera, jr)
-        return np.vstack([cam.reshape(-1, 6), gravity_rows(rot, g_meas, gravity_sqrtw, jr)[0]])
-
+    model = PoseModel(points_world, pixels, camera, g_meas / np.linalg.norm(g_meas), gravity_sqrtw)
     result = solve_least_squares(
-        residuals,
+        model.residuals,
         init.params(),
-        jacobian=jacobian,
+        jacobian=model.jacobian,
         robust=RobustPrefix(n_blocks=n, block_size=2, delta=huber_delta),
         max_iterations=max_iterations,
     )
-    res = residuals(result.params)[: 2 * n].reshape(-1, 2)
+    res = model.residuals(result.params)[: 2 * n].reshape(-1, 2)
     rms = float(np.sqrt(np.mean(np.sum(res * res, axis=1)))) if n else float("nan")
     return Pose.from_params(result.params), rms, result.converged
 

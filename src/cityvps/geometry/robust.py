@@ -29,6 +29,4 @@ def huber_loss_many(norms, delta):
 
 def huber_weight_many(norms, delta):
     norms = np.abs(np.asarray(norms, dtype=float))
-    with np.errstate(divide="ignore"):
-        w = np.where(norms <= delta, 1.0, delta / np.maximum(norms, 1e-300))
-    return w
+    return np.where(norms <= delta, 1.0, delta / np.maximum(norms, 1e-300))

@@ -10,20 +10,23 @@ solvers; `exp`/`log` use series expansions below 1e-8 rad to stay finite.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 _SMALL_ANGLE = 1e-8
+_EYE = np.eye(3)
+_EYE.flags.writeable = False
 
 
 def skew(v):
-    v = np.asarray(v, dtype=float)
-    return np.array(
-        [
-            [0.0, -v[2], v[1]],
-            [v[2], 0.0, -v[0]],
-            [-v[1], v[0], 0.0],
-        ]
-    )
+    x, y, z = np.asarray(v, dtype=float).tolist()
+    return np.array([[0.0, -z, y], [z, 0.0, -x], [-y, x, 0.0]])
+
+
+def _angle(rotvec) -> float:
+    """np.linalg.norm of a 3-vector, without its dispatch."""
+    return math.sqrt(rotvec.dot(rotvec))
 
 
 def batch_skew(v: np.ndarray) -> np.ndarray:
@@ -51,14 +54,14 @@ def _series_terms(rotvecs):
 def exp(rotvec):
     """Rodrigues map from a rotation vector to a 3x3 rotation matrix."""
     rotvec = np.asarray(rotvec, dtype=float)
-    angle = float(np.linalg.norm(rotvec))
+    angle = _angle(rotvec)
     k = skew(rotvec)
     k2 = k @ k
     if angle < _SMALL_ANGLE:
-        return np.eye(3) + k + 0.5 * k2
+        return _EYE + k + 0.5 * k2
     s = np.sin(angle) / angle
     c = (1.0 - np.cos(angle)) / (angle * angle)
-    return np.eye(3) + s * k + c * k2
+    return _EYE + s * k + c * k2
 
 
 def exp_many(rotvecs):
@@ -106,15 +109,15 @@ def log(matrix):
 def right_jacobian(rotvec):
     """J_r such that exp(v + d) = exp(v) exp(J_r(v) d) for small d."""
     rotvec = np.asarray(rotvec, dtype=float)
-    angle = float(np.linalg.norm(rotvec))
+    angle = _angle(rotvec)
     k = skew(rotvec)
     k2 = k @ k
     if angle < _SMALL_ANGLE:
-        return np.eye(3) - 0.5 * k + k2 / 6.0
+        return _EYE - 0.5 * k + k2 / 6.0
     a2 = angle * angle
     c1 = 2.0 * (np.sin(0.5 * angle) / angle) ** 2  # (1 - cos a) / a^2 without cancellation
     c2 = (angle - np.sin(angle)) / (a2 * angle)
-    return np.eye(3) - c1 * k + c2 * k2
+    return _EYE - c1 * k + c2 * k2
 
 
 def right_jacobian_many(rotvecs):

@@ -242,6 +242,29 @@ class TestRefinePose:
         scale = max(1.0, np.abs(analytic).max())
         assert np.abs(analytic - numeric).max() / scale < 1e-5
 
+    def test_cached_jacobian_is_that_of_its_own_pose(self):
+        # The model keeps the projection of the last pose it evaluated. A
+        # Jacobian asked for elsewhere must not reuse it, and one asked for
+        # at that pose must equal a freshly built model's.
+        pose, world, pix, gravity = self.scene(n=6)
+        world = np.vstack([world, pose.apply(np.array([0.5, -0.2, -4.0]))])
+        pix = np.vstack([pix, [320.0, 240.0]])
+        g_meas = (gravity / np.linalg.norm(gravity))[None]
+
+        def fresh():
+            return reproject.PoseModel(world, pix, self.cam, g_meas, self.gravity_sqrtw)
+
+        rng = np.random.default_rng(10)
+        a = pose.params()
+        b = a + np.concatenate([rng.normal(scale=0.02, size=3), rng.normal(scale=0.2, size=3)])
+        model = fresh()
+        assert np.array_equal(model.residuals(b)[12:14], [BEHIND_RESIDUAL, BEHIND_RESIDUAL])
+        for x in (a, b):
+            jac = model.jacobian(x)
+            assert np.array_equal(jac, fresh().jacobian(x))
+            assert not jac[12:14].any() and jac[:12].all()
+        assert not np.array_equal(model.jacobian(a)[:12], model.jacobian(b)[:12])
+
     def test_zero_noise_recovers_truth_from_perturbed_start(self):
         pose, world, pix, gravity = self.scene()
         rng = np.random.default_rng(9)

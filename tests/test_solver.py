@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cityvps.geometry import (
     NonFinite,
@@ -106,13 +108,15 @@ def test_counters_match_cost_history(monkeypatch):
 
     factorisations = []
 
-    def cho_factor(a, **kwargs):
+    cholesky = least_squares._cholesky
+
+    def failing_cholesky(a):
         factorisations.append(a)
         if len(factorisations) == 1:
             raise np.linalg.LinAlgError("not positive definite")
-        return scipy.linalg.cho_factor(a, **kwargs)
+        return cholesky(a)
 
-    monkeypatch.setattr(least_squares, "cho_factor", cho_factor)
+    monkeypatch.setattr(least_squares, "_cholesky", failing_cholesky)
     res = solve_least_squares(residuals, np.array([-1.2, 1.0]), jacobian, max_iterations=200)
     assert res.converged
     trials = len(evaluations) - 1  # the first evaluates the start
@@ -121,3 +125,37 @@ def test_counters_match_cost_history(monkeypatch):
     assert res.rejected_steps == trials - accepted
     assert res.linear_solves == len(factorisations) == trials + 1
     assert res.gradient_norm < 1e-6
+
+
+# The dense damped step solves PnP (6 parameters) and fusion (7 per submap).
+dense_sizes = st.integers(1, 14)
+seeds = st.integers(0, 2**32 - 1)
+
+
+@given(dense_sizes, seeds, st.floats(-12.0, 4.0))
+@settings(max_examples=200, deadline=None)
+def test_dense_step_is_scipy_cho_solve_bit_for_bit(n, seed, log_mu):
+    rng = np.random.default_rng(seed)
+    jac = rng.normal(size=(n + 3, n)) * 10.0 ** rng.uniform(-3.0, 3.0, size=n)
+    normal = least_squares._DenseNormalEquations(jac, rng.normal(size=n + 3), rng.uniform(0.1, 1.0, size=n + 3))
+    mu = 10.0**log_mu
+    damped = normal.hess.copy()
+    damped[np.diag_indices(n)] += mu * normal.diag
+    expected = scipy.linalg.cho_solve(scipy.linalg.cho_factor(damped), -normal.grad)
+    assert np.array_equal(normal.step(mu), expected)
+
+
+@given(dense_sizes, seeds)
+@settings(max_examples=100, deadline=None)
+def test_dense_step_raises_on_a_non_positive_definite_system(n, seed):
+    # LinAlgError is what makes the solver raise the damping and retry.
+    rng = np.random.default_rng(seed)
+    q, _ = np.linalg.qr(rng.normal(size=(n, n)))
+    eigenvalues = rng.uniform(0.1, 10.0, size=n)
+    eigenvalues[rng.integers(n)] = -1.0
+    normal = least_squares._DenseNormalEquations(np.eye(n), np.ones(n), None)
+    normal.hess = (q * eigenvalues) @ q.T
+    with pytest.raises(np.linalg.LinAlgError):
+        scipy.linalg.cho_factor(normal.hess + np.diag(1e-6 * normal.diag))
+    with pytest.raises(np.linalg.LinAlgError):
+        normal.step(1e-6)
