@@ -3,26 +3,22 @@
 Each submap gets a 7DoF similarity transform. The joint objective couples
 submaps through frames reconstructed in more than one of them (position
 difference plus a rotation-consistency term) and anchors everything to the
-GPS priors of the reconstructed frames. Transforms are initialized by
-closed-form alignment of each submap's camera positions onto its GPS fixes
-(or warm-started during map updates), then refined with the shared solver.
+GPS priors of the reconstructed frames.
 
 The objective is a sum of independent terms over the connected components
 of the link graph (submaps joined by shared frames), so each component is
-solved on its own. Links that disagree in rotation make a large-residual
-problem with a nearly flat mode, along which Gauss-Newton converges only
-linearly while the cost barely changes (Triggs et al., "Bundle Adjustment -
-A Modern Synthesis", 1999). On two street submaps that disagree by 0.6 rad
-of yaw, a stop on small relative cost decrease ends 1e-4 m short of the
-optimum, and even running until no step lowers the cost leaves it 1e-6 m
-short, at a point that depends on the start. So the solver's result is
-finished with Newton steps on the exact Hessian, judged and stopped on the
-gradient norm, which converge to the stationary point itself.
+solved on its own, in one way: Levenberg-Marquardt from the closed-form
+alignment of each submap's camera positions onto its GPS fixes. Links that
+disagree in rotation make a large-residual problem with a nearly flat mode,
+along which the solver's stop on small relative cost decrease can end short
+of the exact optimum (Triggs et al., "Bundle Adjustment - A Modern
+Synthesis", 1999). The point where it ends depends only on where it
+starts, and every solve starts from the same place.
 
-Map updates re-solve only the components whose membership changed. A
-component that the previous map held with the same submap objects keeps
-its transforms bit for bit, so adding or removing a submap never moves
-the submaps it is not linked to.
+So the map is a function of its submaps and ``FusionParams``. Building,
+updating and removing edit the set of submaps and fuse it afresh. A
+component that an update does not touch is solved again from the same
+inputs and gets the same transforms bit for bit.
 """
 
 from __future__ import annotations
@@ -31,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import Pose, Sim3, batch_skew, numeric_jacobian, so3, solve_least_squares, umeyama
+from .geometry import Pose, Sim3, batch_skew, so3, solve_least_squares, umeyama
 from .mapbuild.sfm import gps_weight_for
 from .mapbuild.tracks import _UnionFind
 from .mapbuild.types import SolverDiverged, Submap
@@ -43,12 +39,11 @@ class UnknownSubmap(KeyError):
 
 @dataclass(frozen=True)
 class FusionParams:
-    """Fusion weights, tiling, and the solver's stop rule.
+    """Fusion weights, tiling, and the solver's iteration budget.
 
-    Each component is first solved with Levenberg-Marquardt until the
-    relative cost decrease falls below ``rel_cost_tol``; running out of
-    ``max_iterations`` first raises SolverDiverged. Newton steps on the
-    exact Hessian then take the result to the gradient's rounding floor.
+    Each component is solved by Levenberg-Marquardt from the GPS alignment
+    until the relative cost decrease falls below the solver's tolerance;
+    running out of ``max_iterations`` first raises SolverDiverged.
     """
 
     gps_weight: float | None = None  # None: 1/sigma^2 per fix
@@ -57,7 +52,6 @@ class FusionParams:
     tile_size: float = 100.0
     bounding_margin: float = 20.0
     max_iterations: int = 150
-    rel_cost_tol: float = 1e-10
 
 
 @dataclass
@@ -85,7 +79,6 @@ class GlobalMap:
     bounding_circles: dict = field(default_factory=dict)  # id -> (center_xy, r)
     report: FusionReport = field(default_factory=FusionReport)
     bounding_margin: float = 20.0
-    params: FusionParams | None = None  # what the transforms were solved under
 
     def submap_ids(self):
         return sorted(self.submaps)
@@ -246,78 +239,13 @@ def _initial_transform(submap: Submap) -> Sim3:
     return umeyama(np.array(src), np.array(dst), with_scale=True)
 
 
-_CURVATURE_FLOOR = 1e-9  # relative to the largest Jacobi-scaled eigenvalue
-
-
-def _newton_polish(problem: _FusionProblem, x):
-    """Newton steps from a point near the minimum to the stationary point.
-
-    The Hessian is the central difference of the analytic gradient, so it
-    keeps the second-order residual term that Gauss-Newton drops. A step is
-    taken only if it lowers the gradient norm without raising the cost
-    beyond rounding; the Hessian is reused while it keeps cutting the
-    gradient fourfold. Directions of numerically zero curvature (a gauge
-    freedom, e.g. without GPS) are left alone. The polish stops, keeping
-    the best point so far, at negative curvature or when no step helps.
-    """
-
-    def gradient(p):
-        r = problem.residuals(p)
-        return problem.jacobian(p).T @ r, 0.5 * float(r @ r)
-
-    def newton_step(p):
-        hess = numeric_jacobian(lambda q: gradient(q)[0], p, step=1e-5)
-        diag = np.diag(hess)
-        d = np.where(diag > 0.0, 1.0 / np.sqrt(np.where(diag > 0.0, diag, 1.0)), 0.0)
-        w, v = np.linalg.eigh(0.5 * (hess + hess.T) * np.outer(d, d))
-        floor = _CURVATURE_FLOOR * max(w[-1], 0.0)
-        if w[0] < -floor:
-            return None
-        v = v[:, w > floor]
-        w = w[w > floor]
-        return lambda g: -d * (v @ ((v.T @ (d * g)) / w))
-
-    g, cost = gradient(x)
-    solve = None
-    fresh = False
-    for _ in range(20):
-        if solve is None:
-            solve, fresh = newton_step(x), True
-            if solve is None:
-                break
-        step = solve(g)
-        if np.linalg.norm(step) <= 1e-12 * (1.0 + np.linalg.norm(x)):
-            break  # below the parameters' own rounding scale
-        g_new, cost_new = gradient(x + step)
-        if np.linalg.norm(g_new) < np.linalg.norm(g) and cost_new <= cost + 1e-12 * abs(cost):
-            if np.linalg.norm(g_new) > 0.25 * np.linalg.norm(g):
-                solve = None
-            x, g, cost = x + step, g_new, cost_new
-        elif fresh:
-            break
-        else:
-            solve = None
-        fresh = False
-    return x
-
-
-def fuse(
-    submaps,
-    links=None,
-    params: FusionParams | None = None,
-    warm_start: dict | None = None,
-    solved=(),
-):
+def fuse(submaps, links=None, params: FusionParams | None = None):
     """Jointly estimate one Sim3 per submap; returns (transforms, report).
 
-    Each connected component of the link graph is solved on its own,
-    starting from ``warm_start`` where it has a transform and from the GPS
-    alignment otherwise: Levenberg-Marquardt first, then Newton steps to the
-    stationary point (see FusionParams). A component listed in ``solved`` (a
-    sorted id tuple, as ``link_components`` gives) is not solved again: its
-    transforms are taken from ``warm_start`` as they are. The report
-    describes the whole map; its ``iterations`` count only the
-    Levenberg-Marquardt iterations of the solves this call ran.
+    Each connected component of the link graph is solved on its own by
+    Levenberg-Marquardt from the GPS alignment (``_initial_transform``), and
+    its transforms are what the solver returns. The report describes the
+    whole map; its ``iterations`` sum the solves' iterations.
 
     Raises SolverDiverged when a component's optimization fails to converge.
     """
@@ -329,8 +257,6 @@ def fuse(
         links = collect_links(submaps)
     by_id = {sm.submap_id: sm for sm in submaps}
     gps_rows = _gps_rows(submaps, params)
-    solved = set(solved)
-    warm_start = warm_start or {}
 
     components = link_components(by_id, links)
     component_of = {sid: c for c in components for sid in c}
@@ -346,24 +272,16 @@ def fuse(
     transforms = {}
     iterations = 0
     for component in components:
-        if component in solved:
-            transforms.update((sid, warm_start[sid]) for sid in component)
-            continue
         problem = _FusionProblem(component, links_of[component], rows_of[component], params.rotation_weight)
-        init = {
-            sid: warm_start[sid] if sid in warm_start else _initial_transform(by_id[sid])
-            for sid in component
-        }
         result = solve_least_squares(
             problem.residuals,
-            problem.pack(init),
+            problem.pack({sid: _initial_transform(by_id[sid]) for sid in component}),
             jacobian=problem.jacobian,
             max_iterations=params.max_iterations,
-            rel_cost_tol=params.rel_cost_tol,
         )
         if not result.converged:
             raise SolverDiverged(f"fusion did not converge: {result.message}")
-        transforms.update(problem.unpack(_newton_polish(problem, result.params)))
+        transforms.update(problem.unpack(result.params))
         iterations += result.iterations
 
     whole = _FusionProblem(list(by_id), links, gps_rows, params.rotation_weight)
@@ -427,27 +345,9 @@ def build_tile_index(submaps: dict, transforms: dict, tile_size: float, margin: 
     return tiles, circles
 
 
-def _fused_map(submaps: dict, params: FusionParams, previous: GlobalMap | None = None) -> GlobalMap:
-    """Fuse and tile-index `submaps`, re-solving only what changed since `previous`.
-
-    Only a component of `previous` whose submap ids are all still here
-    passes its transforms on as a warm start. If `previous` was fused under
-    the same params and the component's submaps are the same objects, it is
-    passed to `fuse` as solved, so it keeps its transforms; if it is still a
-    component of the new link graph, they come back unchanged. A component
-    that lost a member starts from the GPS alignment, as in a fresh fuse:
-    its old transforms were pulled by links that are gone.
-    """
-    warm = {}
-    solved = []
-    if previous is not None:
-        old = previous.submaps
-        for component in link_components(old, collect_links(old.values())):
-            if all(sid in submaps for sid in component):
-                warm.update((sid, previous.transforms[sid]) for sid in component)
-                if previous.params == params and all(submaps[sid] is old[sid] for sid in component):
-                    solved.append(component)
-    transforms, report = fuse(list(submaps.values()), params=params, warm_start=warm, solved=solved)
+def _fused_map(submaps: dict, params: FusionParams) -> GlobalMap:
+    """Fuse and tile-index `submaps`: the one way a GlobalMap is made."""
+    transforms, report = fuse(list(submaps.values()), params=params)
     tiles, circles = build_tile_index(submaps, transforms, params.tile_size, params.bounding_margin)
     return GlobalMap(
         submaps=submaps,
@@ -457,7 +357,6 @@ def _fused_map(submaps: dict, params: FusionParams, previous: GlobalMap | None =
         bounding_circles=circles,
         report=report,
         bounding_margin=params.bounding_margin,
-        params=params,
     )
 
 
@@ -470,13 +369,12 @@ def build_global_map(submaps, params: FusionParams | None = None) -> GlobalMap:
 def update_map(global_map: GlobalMap, new_submaps, params: FusionParams | None = None) -> GlobalMap:
     """Fuse new verified submaps into an existing map.
 
-    With no new submaps the map itself is returned. Otherwise only the
-    link-graph components that a new submap joins (or replaces a member
-    of) are re-solved, warm-started from the current transforms, with new
-    submaps starting from their GPS alignment. Every other submap keeps its
-    transform bit for bit, e.g. all of them when the new submaps share no
-    frame with the map. Under params other than the map's, every component
-    is re-solved.
+    With no new built submaps the map itself is returned. Otherwise a new
+    submap is added, or replaces the map's submap of the same id, and the
+    result is fused afresh: it equals ``build_global_map`` of the same
+    submaps under the same params, bit for bit. A component that no new
+    submap links to or replaces a member of keeps its transforms bit for
+    bit.
     """
     new_submaps = [sm for sm in new_submaps if sm.status == "built"]
     if not new_submaps:
@@ -484,16 +382,15 @@ def update_map(global_map: GlobalMap, new_submaps, params: FusionParams | None =
     merged = dict(global_map.submaps)
     for sm in new_submaps:
         merged[sm.submap_id] = sm
-    return _fused_map(merged, params or FusionParams(), previous=global_map)
+    return _fused_map(merged, params or FusionParams())
 
 
 def remove_submaps(global_map: GlobalMap, ids, params: FusionParams | None = None) -> GlobalMap:
-    """Drop submaps and re-run fusion on the remainder.
+    """Drop submaps and fuse the remainder afresh.
 
-    Only the components that lost a member are re-solved, from the GPS
-    alignment as in `build_global_map`, so their transforms equal those of
-    a fresh fuse of the remainder. Components that lost nothing keep their
-    transforms bit for bit.
+    The result equals ``build_global_map`` of the remaining submaps under
+    the same params, bit for bit, so components that lost nothing keep
+    their transforms. Raises UnknownSubmap for an id not in the map.
     """
     ids = list(ids)
     for sid in ids:
@@ -501,4 +398,4 @@ def remove_submaps(global_map: GlobalMap, ids, params: FusionParams | None = Non
             raise UnknownSubmap(sid)
     dropped = set(ids)
     remaining = {sid: sm for sid, sm in global_map.submaps.items() if sid not in dropped}
-    return _fused_map(remaining, params or FusionParams(), previous=global_map)
+    return _fused_map(remaining, params or FusionParams())

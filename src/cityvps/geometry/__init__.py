@@ -15,8 +15,12 @@ from .least_squares import (
 from .pose import GRAVITY_WORLD, Pose, Sim3, umeyama
 from .reproject import (
     BEHIND_RESIDUAL,
+    LastEvaluation,
     camera_projection,
     gravity_rows,
+    observation_blocks,
+    observation_residuals,
+    project_observations,
     refine_pose,
     reprojection_errors,
     reprojection_rows,
@@ -46,9 +50,13 @@ __all__ = [
     "numeric_jacobian",
     "solve_least_squares",
     "BEHIND_RESIDUAL",
+    "LastEvaluation",
     "batch_skew",
     "camera_projection",
     "gravity_rows",
+    "observation_blocks",
+    "observation_residuals",
+    "project_observations",
     "refine_pose",
     "reprojection_errors",
     "reprojection_rows",

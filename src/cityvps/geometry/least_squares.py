@@ -357,17 +357,12 @@ def _normal_equations(jac, r, row_w):
     return _DenseNormalEquations(jac, r, row_w)
 
 
-def solve_least_squares(
-    residual_fn,
-    x0,
-    jacobian=None,
-    *,
-    robust=None,
-    max_iterations=100,
-    rel_cost_tol=1e-10,
-    damping_init=1e-4,
-    damping_max=1e10,
-):
+DAMPING_INIT = 1e-4  # Levenberg-Marquardt damping of the first step, relative to diag(H)
+DAMPING_MAX = 1e10  # no descent at this damping: the point is stationary within precision
+REL_COST_TOL = 1e-10  # stop once an accepted step lowers the cost by less than this fraction
+
+
+def solve_least_squares(residual_fn, x0, jacobian=None, *, robust=None, max_iterations=100):
     """Minimize the (optionally robustified) sum of squared residuals.
 
     `jacobian` returns a dense ndarray or a BlockJacobian. A dense Jacobian
@@ -378,7 +373,7 @@ def solve_least_squares(
     the damping like a rejected step.
 
     Returns a SolveResult; ``converged`` is True when the relative cost
-    decrease fell below tolerance or the problem stalled at a stationary
+    decrease fell below ``REL_COST_TOL`` or the problem stalled at a stationary
     point, False when the iteration budget ran out first. Raises NonFinite
     if residuals at the current iterate or a solved step are non-finite.
     """
@@ -397,7 +392,7 @@ def solve_least_squares(
     if cost == 0.0:
         return SolveResult(x, cost, True, 0, "zero cost at start", history)
 
-    mu = damping_init
+    mu = DAMPING_INIT
     iteration = 0
     message = "max iterations reached"
     converged = False
@@ -409,7 +404,7 @@ def solve_least_squares(
         normal = _normal_equations(jac_fn(x), r, _row_weights(r, robust, norms))
         gradient_norm = float(np.linalg.norm(normal.grad))
         accepted = False
-        while mu <= damping_max:
+        while mu <= DAMPING_MAX:
             solves += 1
             try:
                 step = normal.step(mu)
@@ -438,7 +433,7 @@ def solve_least_squares(
         x, r, norms, cost = x_trial, r_trial, norms_trial, cost_trial
         history.append(cost)
         mu = max(mu / 3.0, 1e-12)
-        if decrease <= rel_cost_tol * max(cost, 1e-300):
+        if decrease <= REL_COST_TOL * max(cost, 1e-300):
             converged = True
             message = "relative cost decrease below tolerance"
             break

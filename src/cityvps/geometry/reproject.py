@@ -17,11 +17,12 @@ them. ``reprojection_rows`` is ``project_observations`` followed by
 can serve both.
 
 Single-pose refinement (``PoseModel``) is the one-camera case with its
-points held fixed, and it projects once per LM point. Levenberg-Marquardt
-asks for the Jacobian at the point whose residuals it has just accepted, so
-the model keeps the projection of the last pose it evaluated and its
-Jacobian reuses it only at that same pose, compared byte for byte; anywhere
-else it projects afresh. The reuse changes no number.
+points held fixed. It and bundle adjustment project once per LM point:
+Levenberg-Marquardt asks for the Jacobian at the point whose residuals it
+has just accepted, so each model keeps the projection of the last point it
+evaluated (``LastEvaluation``) and its Jacobian reuses it only at that same
+point, compared byte for byte; anywhere else it projects afresh. The reuse
+changes no number.
 """
 
 from __future__ import annotations
@@ -115,29 +116,42 @@ def gravity_rows(rots, gravity, sqrtw: float, jrs=None):
     return blocks
 
 
+class LastEvaluation:
+    """`fn` of a parameter vector, kept for the last vector it was called with.
+
+    The key is the vector's exact bytes, so a call at any other vector runs
+    `fn` afresh and the reuse changes no number.
+    """
+
+    def __init__(self, fn):
+        self._fn = fn
+        self._key = self._value = None
+
+    def __call__(self, x):
+        key = x.tobytes()
+        if key != self._key:
+            self._value = self._fn(x)
+            self._key = key
+        return self._value
+
+
 class PoseModel:
     """Reprojection and gravity rows of one pose against fixed world points.
 
-    Parameters are [rotvec, t]. The projection at the last pose evaluated
-    is kept, keyed on that pose's exact bytes: the solver asks for the
-    Jacobian at the point whose residuals it has just accepted, and the
-    Jacobian reuses the projection at that point only.
+    Parameters are [rotvec, t]. Residuals and Jacobian at one pose share
+    its rotation and projection (``LastEvaluation``).
     """
 
     def __init__(self, points_world, pixels, camera: Camera, gravity_meas, gravity_sqrtw: float):
         self.points, self.pixels, self.camera = points_world, pixels, camera
         self.cams = np.zeros(points_world.shape[0], dtype=int)
         self.gravity, self.gravity_sqrtw = gravity_meas, gravity_sqrtw
-        self._key = self._rot = self._projection = None
+        self._project = LastEvaluation(self._projection)
 
-    def _project(self, p):
-        key = p.tobytes()
-        if key != self._key:
-            # The scalar so3 helpers: on one pose the batched ones cost twice as much.
-            self._rot = so3.exp(p[:3])[None]
-            self._projection = project_observations(self._rot, p[None, 3:], self.points, self.cams, self.camera)
-            self._key = key
-        return self._rot, self._projection
+    def _projection(self, p):
+        # The scalar so3 helpers: on one pose the batched ones cost twice as much.
+        rot = so3.exp(p[:3])[None]
+        return rot, project_observations(rot, p[None, 3:], self.points, self.cams, self.camera)
 
     def residuals(self, p):
         rot, projection = self._project(p)

@@ -25,10 +25,14 @@ from ..geometry import (
     BlockJacobian,
     BlockStructure,
     Camera,
+    LastEvaluation,
     NonFinite,
     Pose,
     RobustPrefix,
     gravity_rows,
+    observation_blocks,
+    observation_residuals,
+    project_observations,
     refine_pose,
     reprojection_errors,
     reprojection_rows,
@@ -63,7 +67,6 @@ class BuildParams:
     # adjustment runs after every registration so new fixes correct it.
     early_phase_frames: int = 8
     ba_max_iterations: int = 100
-    ba_rel_tol: float = 1e-10
 
 
 def gps_weight_for(sigma: float, params) -> float:
@@ -242,6 +245,8 @@ class _BAProblem:
         self.gravity = np.asarray(gravity_meas, dtype=float)
         self.gravity_sqrtw = float(gravity_sqrtw)
         self.structure = BlockStructure(self.obs_f, self.obs_l, self.nf, self.nl)
+        # Residuals and Jacobian at one point share its projection.
+        self._project = LastEvaluation(self._projection)
 
     def pack(self, poses: dict, points: dict) -> np.ndarray:
         x = np.empty(6 * self.nf + 3 * self.nl)
@@ -260,24 +265,29 @@ class _BAProblem:
             points[tid] = x[6 * self.nf + 3 * j : 6 * self.nf + 3 * j + 3].copy()
         return poses, points
 
-    def _split(self, x):
-        """Rotation vectors, positions and each observation's world point."""
+    def _frames(self, x):
+        """Rotation vectors and positions of the cameras."""
         frames = x[: 6 * self.nf].reshape(self.nf, 6)
-        pts = x[6 * self.nf :].reshape(self.nl, 3)
-        return frames[:, :3], frames[:, 3:], pts[self.obs_l]
+        return frames[:, :3], frames[:, 3:]
+
+    def _projection(self, x):
+        """Camera rotations and the projection of every observation."""
+        rotvecs, ts = self._frames(x)
+        rots = so3.exp_many(rotvecs)
+        pts = x[6 * self.nf :].reshape(self.nl, 3)[self.obs_l]
+        return rots, project_observations(rots, ts, pts, self.obs_f, self.camera)
 
     def residuals(self, x):
-        rotvecs, ts, pts = self._split(x)
-        rots = so3.exp_many(rotvecs)
-        r_obs = reprojection_rows(rots, ts, pts, self.obs_f, self.obs_px, self.camera)
-        r_gps = (ts - self.gps) * self.gps_sqrtw[:, None]
+        rots, projection = self._project(x)
+        r_obs = observation_residuals(projection, self.obs_px)
+        r_gps = (self._frames(x)[1] - self.gps) * self.gps_sqrtw[:, None]
         r_gravity = gravity_rows(rots, self.gravity, self.gravity_sqrtw)
         return np.concatenate([r_obs.ravel(), r_gps.ravel(), r_gravity.ravel()])
 
     def jacobian(self, x) -> BlockJacobian:
-        rotvecs, ts, pts = self._split(x)
-        rots, jrs = so3.exp_many(rotvecs), so3.right_jacobian_many(rotvecs)
-        cam, land = reprojection_rows(rots, ts, pts, self.obs_f, self.obs_px, self.camera, jrs)
+        rots, projection = self._project(x)
+        jrs = so3.right_jacobian_many(self._frames(x)[0])
+        cam, land = observation_blocks(projection, rots, self.obs_f, jrs)
         gps = np.zeros((self.nf, 3, 6))
         gps[:, [0, 1, 2], [3, 4, 5]] = self.gps_sqrtw[:, None]  # d/dt = sqrt(w) I
         gravity = gravity_rows(rots, self.gravity, self.gravity_sqrtw, jrs)
@@ -310,7 +320,6 @@ def bundle_adjust(poses, points, tracks_by_id, frames_by_id, camera, params: Bui
         jacobian=problem.jacobian,
         robust=robust,
         max_iterations=max_iterations or params.ba_max_iterations,
-        rel_cost_tol=params.ba_rel_tol,
     )
     new_poses, new_points = problem.unpack(result.params)
     r = problem.residuals(result.params)[: 2 * problem.nobs].reshape(-1, 2)

@@ -1,16 +1,17 @@
 """The benchmark's traced run rebinds the program's entry points by name.
 
 ``perfbench.tracing.instrument`` replaces ``sfm.refine_pose``,
-``sfm.triangulate_track`` and the solvers that ``sfm``, ``reproject`` and
-``fusion`` call; a renamed or moved entry point breaks the traced run, so
-the binding is checked here with the program's own tests.
+``sfm.triangulate_track``, ``fusion.fuse`` and the solvers that ``sfm``,
+``reproject`` and ``fusion`` call; a renamed or moved entry point, or a
+signature its wrapper cannot take, breaks the traced run, so the binding is
+checked here with the program's own tests.
 """
 
 import numpy as np
 
 from cityvps import fusion
 from cityvps.geometry import GRAVITY_WORLD, Camera, Pose, camera_projection, reproject, so3
-from cityvps.mapbuild import BuildParams, build_tracks, sfm, split_experience
+from cityvps.mapbuild import BuildParams, Submap, build_tracks, sfm, split_experience
 from cityvps.worldsim import (
     NoiseConfig,
     SimConfig,
@@ -76,3 +77,47 @@ def test_traced_build_submap_restores_every_rebound_name():
     for module, names in zip(modules, before):
         assert vars(module).keys() == names.keys()
         assert not [name for name, value in names.items() if vars(module)[name] is not value], module.__name__
+
+
+def street_submap(submap_id, first_frame, n=8, spacing=5.0):
+    """n frames along x, GPS fixes at their positions: frame ids shared between submaps link them."""
+    poses = {
+        fid: Pose.from_rotvec(np.array([0.0, 0.0, 0.1 * (fid % 3)]), np.array([spacing * fid, 0.0, 1.8]))
+        for fid in range(first_frame, first_frame + n)
+    }
+    return Submap(
+        submap_id=submap_id,
+        experience_id=1,
+        poses=poses,
+        landmark_positions=np.zeros((0, 3)),
+        landmark_descriptors=np.zeros((0, 16)),
+        landmark_track_ids=np.zeros(0, dtype=int),
+        gps_priors={fid: np.concatenate([pose.t, [2.0]]) for fid, pose in poses.items()},
+        member_ids=sorted(poses),
+        augmented_ids=[],
+    )
+
+
+def test_traced_fusion_calls_solve_every_component():
+    """The benchmark's three fusion calls run traced; `restore` puts back every name in `fusion`."""
+    a, b = street_submap(1, 0), street_submap(2, 5)  # frames 5-7 in both
+    far = street_submap(3, 1000)
+    before = dict(vars(fusion))
+
+    tracer = Tracer(True)
+    restore = instrument(tracer)
+    try:
+        built = fusion.build_global_map([a, b])
+        updated = fusion.update_map(built, [far])
+        removed = fusion.remove_submaps(updated, [3])
+    finally:
+        restore()
+
+    assert sorted(removed.transforms) == [1, 2]
+    # Components (1, 2); then (1, 2) and (3,); then (1, 2): each fused afresh.
+    assert tracer.counts["fusion.components_solved"] == 4
+    assert tracer.counts["lsq.fusion.solves"] == 4
+    assert tracer.counts["fusion.components_reused"] == 0
+    assert [s[0] for s in tracer.spans].count("fusion.fuse") == 3
+    assert vars(fusion).keys() == before.keys()
+    assert not [name for name, value in before.items() if vars(fusion)[name] is not value]

@@ -229,18 +229,19 @@ class TestMapLifecycle:
         for sid in fresh.transforms:
             assert_bit_identical(back.transforms[sid], fresh.transforms[sid])
 
-    def test_stop_rule_independent_of_start(self):
-        # Gauss-Newton crawls along a flat roll mode of this pair; a stop on
-        # small relative cost decrease ended short of the optimum at a point
-        # that depended on where the solve started.
+    def test_update_and_remove_equal_fresh_build(self):
+        # The map is a function of its submaps: the order of builds, updates
+        # and removals that led to them leaves no trace.
         a, b = self.pair()
-        extra = make_submap(3, line_poses(8, base_fid=9, start=45.0))
-        cold, _ = fuse([a, b])
-        three, _ = fuse([a, b, extra])
-        warm, _ = fuse([a, b], warm_start=three)
-        for sid in cold:
-            assert np.linalg.norm(warm[sid].t - cold[sid].t) < 1e-7
-            assert so3.geodesic_angle(warm[sid].q, cold[sid].q) < 1e-7
+        extra = make_submap(3, line_poses(8, base_fid=9, start=45.0))  # frames 9-14 shared with b
+        whole = build_global_map([a, b, extra])
+        for got, want in (
+            (update_map(build_global_map([a, b]), [extra]), whole),
+            (remove_submaps(whole, [3]), build_global_map([a, b])),
+        ):
+            assert sorted(got.transforms) == sorted(want.transforms)
+            for sid in want.transforms:
+                assert_bit_identical(got.transforms[sid], want.transforms[sid])
 
     def test_exhausted_budget_raises(self):
         with pytest.raises(SolverDiverged):

@@ -1,16 +1,19 @@
-"""Static checks of the package's public surface, from the source alone.
+"""Checks of the package's public surface.
 
 Every name a subpackage lists in ``__all__`` must be bound where it claims
 to come from, and no module may import a name it neither uses nor
-re-exports: dead imports are how deleted API creeps back.
+re-exports: dead imports are how deleted API creeps back. Every console
+script that ``pyproject.toml`` declares must resolve to a callable.
 """
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "cityvps"
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "cityvps"
 MODULES = sorted(PACKAGE.rglob("*.py"))
 
 
@@ -101,3 +104,11 @@ def test_no_unused_imports(path):
     keep = used_names(tree) | set(dunder_all(tree))
     unused = sorted(name for name in imported_names(tree) if name not in keep)
     assert not unused, f"{path.relative_to(PACKAGE)} imports unused {unused}"
+
+
+def test_console_scripts_resolve():
+    tomllib = pytest.importorskip("tomllib")  # stdlib from Python 3.11
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
+    for name, target in project.get("scripts", {}).items():
+        module, _, attr = target.partition(":")
+        assert callable(getattr(importlib.import_module(module), attr, None)), f"{name} = {target!r}"

@@ -180,6 +180,19 @@ class TestBundleAdjustInternals:
         scale = max(1.0, np.abs(analytic).max())
         assert np.abs(analytic - numeric).max() / scale < 1e-5
 
+    def test_cached_jacobian_is_that_of_its_own_point(self):
+        # The problem keeps the projection of the last point it evaluated. A
+        # Jacobian asked for elsewhere must not reuse it, and one asked for
+        # at that point must equal a freshly built problem's.
+        problem, a = self.make_problem(behind_camera=True)
+        b = a + np.random.default_rng(12).normal(scale=0.01, size=a.shape)
+        problem.residuals(b)
+        for x in (a, b):
+            jac, fresh = problem.jacobian(x), self.make_problem(behind_camera=True)[0]
+            assert np.array_equal(jac.toarray(), fresh.jacobian(x).toarray())
+            assert np.array_equal(problem.residuals(x), fresh.residuals(x))
+        assert not np.array_equal(problem.jacobian(a).cam, problem.jacobian(b).cam)
+
     @staticmethod
     def dense_step(problem, jac, r, mu):
         """The damped normal equations of all n parameters, solved densely."""
