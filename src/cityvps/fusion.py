@@ -15,10 +15,12 @@ of the exact optimum (Triggs et al., "Bundle Adjustment - A Modern
 Synthesis", 1999). The point where it ends depends only on where it
 starts, and every solve starts from the same place.
 
-So the map is a function of its submaps and ``FusionParams``. Building,
-updating and removing edit the set of submaps and fuse it afresh. A
-component that an update does not touch is solved again from the same
-inputs and gets the same transforms bit for bit.
+So the map is a function of its submaps alone: the weights, the tile size
+and the iteration budget are module constants, and each GPS fix is weighted
+by ``sfm.gps_weight``, as in bundle adjustment. Building, updating and
+removing edit the set of submaps and fuse it afresh. A component that an
+update does not touch is solved again from the same inputs and gets the
+same transforms bit for bit.
 """
 
 from __future__ import annotations
@@ -28,30 +30,22 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .geometry import Pose, Sim3, batch_skew, so3, solve_least_squares, umeyama
-from .mapbuild.sfm import gps_weight_for
+from .mapbuild.sfm import gps_weight
 from .mapbuild.tracks import _UnionFind
 from .mapbuild.types import SolverDiverged, Submap
 
 
+ROTATION_WEIGHT = 1.0  # meters of residual per radian of disagreement
+TILE_SIZE = 100.0  # m, side of a geo tile
+BOUNDING_MARGIN = 20.0  # m added to a submap's bounding circle
+# Each component is solved by Levenberg-Marquardt from the GPS alignment
+# until the relative cost decrease falls below the solver's tolerance;
+# running out of this budget first raises SolverDiverged.
+MAX_ITERATIONS = 150
+
+
 class UnknownSubmap(KeyError):
     """Operation referenced a submap id that is not in the map."""
-
-
-@dataclass(frozen=True)
-class FusionParams:
-    """Fusion weights, tiling, and the solver's iteration budget.
-
-    Each component is solved by Levenberg-Marquardt from the GPS alignment
-    until the relative cost decrease falls below the solver's tolerance;
-    running out of ``max_iterations`` first raises SolverDiverged.
-    """
-
-    gps_weight: float | None = None  # None: 1/sigma^2 per fix
-    gps_sigma_floor: float = 0.1
-    rotation_weight: float = 1.0  # meters of residual per radian of disagreement
-    tile_size: float = 100.0
-    bounding_margin: float = 20.0
-    max_iterations: int = 150
 
 
 @dataclass
@@ -78,7 +72,6 @@ class GlobalMap:
     tiles: dict = field(default_factory=dict)  # (ix, iy) -> sorted submap ids
     bounding_circles: dict = field(default_factory=dict)  # id -> (center_xy, r)
     report: FusionReport = field(default_factory=FusionReport)
-    bounding_margin: float = 20.0
 
     def submap_ids(self):
         return sorted(self.submaps)
@@ -115,7 +108,7 @@ def link_components(submap_ids, links) -> list:
     return [tuple(g) for g in groups.values()]
 
 
-def _gps_rows(submaps, params: FusionParams):
+def _gps_rows(submaps):
     """(submap_id, position_in_submap, gps_xyz, sqrt_weight) per anchored frame."""
     rows = []
     for sm in sorted(submaps, key=lambda s: s.submap_id):
@@ -123,7 +116,7 @@ def _gps_rows(submaps, params: FusionParams):
             prior = sm.gps_priors.get(fid)
             if prior is None:
                 continue
-            sqrt_w = np.sqrt(gps_weight_for(prior[3], params))
+            sqrt_w = np.sqrt(gps_weight(prior[3]))
             rows.append((sm.submap_id, sm.poses[fid].t, np.asarray(prior[:3], dtype=float), sqrt_w))
     return rows
 
@@ -132,16 +125,15 @@ class _FusionProblem:
     """Residuals/Jacobian over stacked [rotvec, t, log s] per submap.
 
     Per pair of submaps sharing a frame: the difference of the frame's
-    fused positions, then ``rotation_weight`` times the log of the relative
+    fused positions, then ``ROTATION_WEIGHT`` times the log of the relative
     rotation of its fused orientations. Per GPS-anchored frame after all
     pairs: ``sqrt(w) * (fused position - gps)``.
     """
 
-    def __init__(self, submap_ids, links, gps_rows, rotation_weight):
+    def __init__(self, submap_ids, links, gps_rows):
         self.ids = list(submap_ids)
         self.index = {sid: i for i, sid in enumerate(self.ids)}
         self.n = len(self.ids)
-        self.rotation_weight = rotation_weight
         pairs = []  # (idx_k, idx_l, pos_k, pos_l, rot_k, rot_l, frame_id)
         for link in links:
             entries = [e for e in link.entries if e[0] in self.index]
@@ -190,7 +182,7 @@ class _FusionProblem:
         rots = self._rotations(x)
         links, gps = self.offsets(x, rots)
         q = rots[self.pair_k] @ self.rot_k @ np.swapaxes(rots[self.pair_l] @ self.rot_l, 1, 2)
-        rot = self.rotation_weight * np.array([so3.log(m) for m in q]).reshape(-1, 3)
+        rot = ROTATION_WEIGHT * np.array([so3.log(m) for m in q]).reshape(-1, 3)
         return np.concatenate([np.hstack([links, rot]).ravel(), (self.gps_sw[:, None] * gps).ravel()])
 
     def jacobian(self, x):
@@ -215,7 +207,7 @@ class _FusionProblem:
         point_blocks(link_rows, self.pair_k, self.pos_k, np.ones(n_pairs))
         point_blocks(link_rows, self.pair_l, self.pos_l, -np.ones(n_pairs))
         point_blocks(6 * n_pairs + 3 * np.arange(len(self.gps_idx)), self.gps_idx, self.gps_pos, self.gps_sw)
-        w = self.rotation_weight
+        w = ROTATION_WEIGHT
         for row, ik, il, rk, rl in zip(link_rows + 3, self.pair_k, self.pair_l, self.rot_k, self.rot_l):
             y = rk @ (rots[il] @ rl).T  # Q = R_k Y with Y fixed by the frames
             jinv = so3.right_jacobian_inv(so3.log(rots[ik] @ y))
@@ -239,9 +231,10 @@ def _initial_transform(submap: Submap) -> Sim3:
     return umeyama(np.array(src), np.array(dst), with_scale=True)
 
 
-def fuse(submaps, links=None, params: FusionParams | None = None):
+def fuse(submaps):
     """Jointly estimate one Sim3 per submap; returns (transforms, report).
 
+    The submaps are linked by the frames they share (``collect_links``).
     Each connected component of the link graph is solved on its own by
     Levenberg-Marquardt from the GPS alignment (``_initial_transform``), and
     its transforms are what the solver returns. The report describes the
@@ -249,14 +242,12 @@ def fuse(submaps, links=None, params: FusionParams | None = None):
 
     Raises SolverDiverged when a component's optimization fails to converge.
     """
-    params = params or FusionParams()
     submaps = sorted(submaps, key=lambda s: s.submap_id)
     if not submaps:
         return {}, FusionReport()
-    if links is None:
-        links = collect_links(submaps)
+    links = collect_links(submaps)
     by_id = {sm.submap_id: sm for sm in submaps}
-    gps_rows = _gps_rows(submaps, params)
+    gps_rows = _gps_rows(submaps)
 
     components = link_components(by_id, links)
     component_of = {sid: c for c in components for sid in c}
@@ -272,19 +263,19 @@ def fuse(submaps, links=None, params: FusionParams | None = None):
     transforms = {}
     iterations = 0
     for component in components:
-        problem = _FusionProblem(component, links_of[component], rows_of[component], params.rotation_weight)
+        problem = _FusionProblem(component, links_of[component], rows_of[component])
         result = solve_least_squares(
             problem.residuals,
             problem.pack({sid: _initial_transform(by_id[sid]) for sid in component}),
             jacobian=problem.jacobian,
-            max_iterations=params.max_iterations,
+            max_iterations=MAX_ITERATIONS,
         )
         if not result.converged:
             raise SolverDiverged(f"fusion did not converge: {result.message}")
         transforms.update(problem.unpack(result.params))
         iterations += result.iterations
 
-    whole = _FusionProblem(list(by_id), links, gps_rows, params.rotation_weight)
+    whole = _FusionProblem(list(by_id), links, gps_rows)
     return transforms, _fusion_report(whole, transforms, iterations)
 
 
@@ -345,34 +336,33 @@ def build_tile_index(submaps: dict, transforms: dict, tile_size: float, margin: 
     return tiles, circles
 
 
-def _fused_map(submaps: dict, params: FusionParams) -> GlobalMap:
+def _fused_map(submaps: dict) -> GlobalMap:
     """Fuse and tile-index `submaps`: the one way a GlobalMap is made."""
-    transforms, report = fuse(list(submaps.values()), params=params)
-    tiles, circles = build_tile_index(submaps, transforms, params.tile_size, params.bounding_margin)
+    transforms, report = fuse(list(submaps.values()))
+    tiles, circles = build_tile_index(submaps, transforms, TILE_SIZE, BOUNDING_MARGIN)
     return GlobalMap(
         submaps=submaps,
         transforms=transforms,
-        tile_size=params.tile_size,
+        tile_size=TILE_SIZE,
         tiles=tiles,
         bounding_circles=circles,
         report=report,
-        bounding_margin=params.bounding_margin,
     )
 
 
-def build_global_map(submaps, params: FusionParams | None = None) -> GlobalMap:
+def build_global_map(submaps) -> GlobalMap:
     """Fuse built submaps into a fresh GlobalMap (discarded ones rejected)."""
     usable = {sm.submap_id: sm for sm in submaps if sm.status == "built"}
-    return _fused_map(usable, params or FusionParams())
+    return _fused_map(usable)
 
 
-def update_map(global_map: GlobalMap, new_submaps, params: FusionParams | None = None) -> GlobalMap:
+def update_map(global_map: GlobalMap, new_submaps) -> GlobalMap:
     """Fuse new verified submaps into an existing map.
 
     With no new built submaps the map itself is returned. Otherwise a new
     submap is added, or replaces the map's submap of the same id, and the
     result is fused afresh: it equals ``build_global_map`` of the same
-    submaps under the same params, bit for bit. A component that no new
+    submaps, bit for bit. A component that no new
     submap links to or replaces a member of keeps its transforms bit for
     bit.
     """
@@ -382,14 +372,14 @@ def update_map(global_map: GlobalMap, new_submaps, params: FusionParams | None =
     merged = dict(global_map.submaps)
     for sm in new_submaps:
         merged[sm.submap_id] = sm
-    return _fused_map(merged, params or FusionParams())
+    return _fused_map(merged)
 
 
-def remove_submaps(global_map: GlobalMap, ids, params: FusionParams | None = None) -> GlobalMap:
+def remove_submaps(global_map: GlobalMap, ids) -> GlobalMap:
     """Drop submaps and fuse the remainder afresh.
 
-    The result equals ``build_global_map`` of the remaining submaps under
-    the same params, bit for bit, so components that lost nothing keep
+    The result equals ``build_global_map`` of the remaining submaps, bit
+    for bit, so components that lost nothing keep
     their transforms. Raises UnknownSubmap for an id not in the map.
     """
     ids = list(ids)
@@ -398,4 +388,4 @@ def remove_submaps(global_map: GlobalMap, ids, params: FusionParams | None = Non
             raise UnknownSubmap(sid)
     dropped = set(ids)
     remaining = {sid: sm for sid, sm in global_map.submaps.items() if sid not in dropped}
-    return _fused_map(remaining, params or FusionParams())
+    return _fused_map(remaining)

@@ -1,7 +1,7 @@
 """Pose algebra, camera projection, robust losses, and the shared solver."""
 
 from . import so3
-from .camera import MIN_DEPTH, Camera, backproject, project
+from .camera import MIN_DEPTH, Camera, project
 from .least_squares import (
     BlockJacobian,
     BlockStructure,
@@ -33,7 +33,6 @@ __all__ = [
     "Camera",
     "MIN_DEPTH",
     "project",
-    "backproject",
     "GRAVITY_WORLD",
     "Pose",
     "Sim3",

@@ -51,12 +51,3 @@ def project(point_world, pose: Pose, camera: Camera):
     """Pixel coordinates of a world point, or None if behind the camera."""
     point_cam = pose.rotation.T @ (np.asarray(point_world, dtype=float) - pose.t)
     return camera.project_camera_frame(point_cam)
-
-
-def backproject(pixel, depth, pose: Pose, camera: Camera):
-    """World point at the given camera-frame depth along the pixel's ray."""
-    u, v = pixel
-    point_cam = np.array(
-        [(u - camera.cx) / camera.focal * depth, (v - camera.cy) / camera.focal * depth, depth]
-    )
-    return pose.apply(point_cam)

@@ -2,10 +2,9 @@
 
 The residual vector may carry a robustified prefix: the first
 ``n_blocks * block_size`` rows are grouped into fixed-size blocks whose
-norms go through a Huber loss (optionally with per-block outer weights);
-all remaining rows contribute plain squared error. Steps are accepted only
-if the true (robust) cost decreases, so the recorded cost history is
-non-increasing by construction.
+norms go through a Huber loss; all remaining rows contribute plain squared
+error. Steps are accepted only if the true (robust) cost decreases, so the
+recorded cost history is non-increasing by construction.
 
 The block norms of each evaluated residual vector are computed once and
 serve both its cost and, once it is accepted, its IRLS weights.
@@ -56,7 +55,6 @@ class RobustPrefix:
     n_blocks: int
     block_size: int
     delta: float
-    weights: np.ndarray | None = None  # per-block outer weights, default 1
 
     def rows(self) -> int:
         return self.n_blocks * self.block_size
@@ -88,8 +86,6 @@ def _cost(r, prefix: RobustPrefix | None, norms):
     if norms is None:
         return 0.5 * float(r @ r)
     losses = huber_loss_many(norms, prefix.delta)
-    if prefix.weights is not None:
-        losses = losses * prefix.weights
     tail = r[prefix.rows() :]
     return float(losses.sum()) + 0.5 * float(tail @ tail)
 
@@ -107,8 +103,6 @@ def _row_weights(r, prefix: RobustPrefix | None, norms=None):
     if norms is None:
         norms = _block_norms(r, prefix)
     w = huber_weight_many(norms, prefix.delta)
-    if prefix.weights is not None:
-        w = w * prefix.weights
     row_w = np.ones(r.shape[0])
     row_w[: prefix.rows()] = np.repeat(w, prefix.block_size)
     return row_w

@@ -173,7 +173,6 @@ def refine_pose(
     gravity_meas,
     gravity_sqrtw: float,
     huber_delta: float,
-    max_iterations: int = 30,
 ):
     """Robust least-squares pose from 2D-3D matches and gravity, warm-started from `init`.
 
@@ -191,7 +190,7 @@ def refine_pose(
         init.params(),
         jacobian=model.jacobian,
         robust=RobustPrefix(n_blocks=n, block_size=2, delta=huber_delta),
-        max_iterations=max_iterations,
+        max_iterations=30,
     )
     res = model.residuals(result.params)[: 2 * n].reshape(-1, 2)
     rms = float(np.sqrt(np.mean(np.sum(res * res, axis=1)))) if n else float("nan")

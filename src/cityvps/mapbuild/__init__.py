@@ -1,6 +1,6 @@
 """Experience splitting, track building, submap SfM, and verification."""
 
-from .sfm import BuildParams, build_submap, bundle_adjust, triangulate_midpoint
+from .sfm import build_submap, bundle_adjust
 from .split import (
     DEFAULT_MAX_SIZE,
     DEFAULT_MIN_RADIUS,
@@ -17,13 +17,11 @@ from .types import (
     Track,
     VerificationReport,
 )
-from .verify import VerifyThresholds, verify_submap
+from .verify import verify_submap
 
 __all__ = [
-    "BuildParams",
     "build_submap",
     "bundle_adjust",
-    "triangulate_midpoint",
     "split_experience",
     "augment_subsets",
     "DEFAULT_MAX_SIZE",
@@ -38,6 +36,5 @@ __all__ = [
     "VerificationReport",
     "InsufficientOverlap",
     "SolverDiverged",
-    "VerifyThresholds",
     "verify_submap",
 ]

@@ -11,11 +11,12 @@ the GPS prior on camera positions.
 Triangulation, in (2), (4) and after each registration and bundle
 adjustment, is one batched midpoint solve per call over all the tracks it is
 given (`triangulate_tracks`), not one solve per track.
+
+Each threshold has one value, a module constant below. A fix's GPS weight
+is `gps_weight`, the rule fusion applies to the same fixes.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -42,42 +43,38 @@ from ..geometry import (
 from .types import FrameSubset, InsufficientOverlap, Submap, Track
 
 
-@dataclass(frozen=True)
-class BuildParams:
-    huber_delta_px: float = 2.0
-    gps_weight: float | None = None  # None: 1/sigma^2 per fix
-    gps_sigma_floor: float = 0.1
-    # INS gravity prior. Straight-street trajectories leave the roll about
-    # the street axis unobservable to reprojection + GPS; the measured
-    # gravity direction pins it.
-    gravity_sigma_deg: float = 0.2
-    min_seed_shared_tracks: int = 8
-    min_register_matches: int = 4
-    yaw_grid: int = 8
-    seed_window: int = 6  # frames in the multi-view seed neighborhood
-    min_triangulation_angle_deg: float = 1.0
-    min_triangulation_depth: float = 0.05
-    register_inlier_px: float = 4.0
-    rmse_max: float = 3.0
-    min_registered_fraction: float = 0.5
-    min_landmarks: int = 10
-    periodic_ba_every: int = 8
-    # While fewer than this many frames are registered the map's scale still
-    # hangs on very few GPS fixes: the inlier gate is loosened and a bundle
-    # adjustment runs after every registration so new fixes correct it.
-    early_phase_frames: int = 8
-    ba_max_iterations: int = 100
+# Thresholds of the reconstruction; each is read when it is used.
+HUBER_DELTA_PX = 2.0
+GPS_SIGMA_FLOOR = 0.1  # m, see gps_weight
+# INS gravity prior. Straight-street trajectories leave the roll about
+# the street axis unobservable to reprojection + GPS; the measured
+# gravity direction pins it.
+GRAVITY_SIGMA_DEG = 0.2
+MIN_SEED_SHARED_TRACKS = 8
+MIN_REGISTER_MATCHES = 4
+YAW_GRID = 8
+SEED_WINDOW = 6  # frames in the multi-view seed neighborhood
+MIN_TRIANGULATION_ANGLE_DEG = 1.0
+MIN_TRIANGULATION_DEPTH = 0.05
+REGISTER_INLIER_PX = 4.0
+RMSE_MAX = 3.0
+MIN_REGISTERED_FRACTION = 0.5
+MIN_LANDMARKS = 10
+PERIODIC_BA_EVERY = 8
+# While fewer than this many frames are registered the map's scale still
+# hangs on very few GPS fixes: the inlier gate is loosened and a bundle
+# adjustment runs after every registration so new fixes correct it.
+EARLY_PHASE_FRAMES = 8
+BA_MAX_ITERATIONS = 100
 
 
-def gps_weight_for(sigma: float, params) -> float:
-    """GPS prior weight of a fix with standard deviation `sigma`.
+def gps_weight(sigma: float) -> float:
+    """GPS prior weight 1/sigma^2 of a fix with standard deviation `sigma` (m).
 
-    `params` is a BuildParams or a FusionParams; both carry ``gps_weight``
-    and ``gps_sigma_floor``.
+    The one weight rule of bundle adjustment and fusion; sigma is floored
+    at ``GPS_SIGMA_FLOOR``.
     """
-    if params.gps_weight is not None:
-        return params.gps_weight
-    s = max(float(sigma), params.gps_sigma_floor)
+    s = max(float(sigma), GPS_SIGMA_FLOOR)
     return 1.0 / (s * s)
 
 
@@ -166,18 +163,7 @@ def _solve_each(a, b):
         return x, solved
 
 
-def triangulate_midpoint(origins, directions, min_angle_deg: float, min_depth: float):
-    """Midpoint of the rays (origin, unit direction); None when degenerate.
-
-    The one-track case of `triangulate_midpoints`, with its rejection rules.
-    """
-    if len(origins) < 2:
-        return None
-    points, ok = triangulate_midpoints(origins, directions, [0], min_angle_deg, min_depth)
-    return points[0] if ok[0] else None
-
-
-def triangulate_tracks(tracks, poses: dict, frames_by_id: dict, camera: Camera, params: BuildParams) -> dict:
+def triangulate_tracks(tracks, poses: dict, frames_by_id: dict, camera: Camera) -> dict:
     """{track_id: midpoint} of the given tracks, by one batched solve.
 
     Only observations in registered frames (`poses`) count. Tracks with
@@ -204,20 +190,20 @@ def triangulate_tracks(tracks, poses: dict, frames_by_id: dict, camera: Camera, 
         ts[cams],
         np.einsum("kij,kj->ki", rots[cams], rays),
         starts,
-        params.min_triangulation_angle_deg,
-        params.min_triangulation_depth,
+        MIN_TRIANGULATION_ANGLE_DEG,
+        MIN_TRIANGULATION_DEPTH,
     )
     return {tid: points[k] for k, tid in enumerate(track_ids) if ok[k]}
 
 
-def triangulate_track(track: Track, poses: dict, frames_by_id: dict, camera: Camera, params: BuildParams):
+def triangulate_track(track: Track, poses: dict, frames_by_id: dict, camera: Camera):
     """Midpoint of one track's registered rays, or None: `triangulate_tracks` of one track.
 
     The pipeline batches its tracks and does not call this. It is kept
     because the benchmark's traced run (``perfbench/tracing.py``) rebinds
     ``sfm.triangulate_track`` by name and fails without it.
     """
-    return triangulate_tracks([track], poses, frames_by_id, camera, params).get(track.track_id)
+    return triangulate_tracks([track], poses, frames_by_id, camera).get(track.track_id)
 
 
 # ---------------------------------------------------------------------------
@@ -294,11 +280,12 @@ class _BAProblem:
         return BlockJacobian(self.structure, cam, land, [gps, gravity])
 
 
-def bundle_adjust(poses, points, tracks_by_id, frames_by_id, camera, params: BuildParams, max_iterations=None):
+def bundle_adjust(poses, points, tracks_by_id, frames_by_id, camera, max_iterations=None):
     """Joint robust reprojection + GPS-prior refinement of poses and points.
 
-    Returns (poses, points, SolveResult, rmse) where rmse is over valid
-    (in-front) observations after optimization.
+    Runs at most `max_iterations` LM iterations, ``BA_MAX_ITERATIONS`` when
+    None. Returns (poses, points, SolveResult, rmse) where rmse is over
+    valid (in-front) observations after optimization.
     """
     frame_ids = sorted(poses)
     track_ids = sorted(points)
@@ -308,18 +295,18 @@ def bundle_adjust(poses, points, tracks_by_id, frames_by_id, camera, params: Bui
             if fid in poses:
                 observations.append((fid, tid, frames_by_id[fid].pixels[oi]))
     gps = np.array([frames_by_id[fid].gps[:3] for fid in frame_ids])
-    weights = np.array([gps_weight_for(frames_by_id[fid].gps[3], params) for fid in frame_ids])
+    weights = np.array([gps_weight(frames_by_id[fid].gps[3]) for fid in frame_ids])
     gravity = np.array([frames_by_id[fid].ins_gravity for fid in frame_ids])
     gravity = gravity / np.linalg.norm(gravity, axis=1, keepdims=True)
     problem = _BAProblem(frame_ids, track_ids, observations, gps, weights, camera,
-                         gravity_meas=gravity, gravity_sqrtw=1.0 / np.deg2rad(params.gravity_sigma_deg))
-    robust = RobustPrefix(n_blocks=problem.nobs, block_size=2, delta=params.huber_delta_px)
+                         gravity_meas=gravity, gravity_sqrtw=1.0 / np.deg2rad(GRAVITY_SIGMA_DEG))
+    robust = RobustPrefix(n_blocks=problem.nobs, block_size=2, delta=HUBER_DELTA_PX)
     result = solve_least_squares(
         problem.residuals,
         problem.pack(poses, points),
         jacobian=problem.jacobian,
         robust=robust,
-        max_iterations=max_iterations or params.ba_max_iterations,
+        max_iterations=max_iterations or BA_MAX_ITERATIONS,
     )
     new_poses, new_points = problem.unpack(result.params)
     r = problem.residuals(result.params)[: 2 * problem.nobs].reshape(-1, 2)
@@ -349,13 +336,13 @@ def _matches_for_frame(frame_id, frames_by_id, frame_tracks, points):
     return np.array(pts), np.array(pix)
 
 
-def _triangulate_solvable(candidates, points: dict, poses, frames_by_id, camera, params):
+def _triangulate_solvable(candidates, points: dict, poses, frames_by_id, camera):
     """Add to `points` each candidate track that has no point yet and triangulates from its registered observations."""
     unsolved = [track for track in candidates if track.track_id not in points]
-    points.update(triangulate_tracks(unsolved, poses, frames_by_id, camera, params))
+    points.update(triangulate_tracks(unsolved, poses, frames_by_id, camera))
 
 
-def _window_score(poses: dict, tracks, frames_by_id, camera, params):
+def _window_score(poses: dict, tracks, frames_by_id, camera):
     """Triangulate every track visible from >= 2 of the given poses and
     score mean reprojection over those tracks' window observations.
 
@@ -364,7 +351,7 @@ def _window_score(poses: dict, tracks, frames_by_id, camera, params):
     """
     fids = list(poses)
     fidx = {fid: i for i, fid in enumerate(fids)}
-    points = triangulate_tracks(tracks, poses, frames_by_id, camera, params)
+    points = triangulate_tracks(tracks, poses, frames_by_id, camera)
     solved = []  # per window observation: did its track triangulate
     cams, world, pixels = [], [], []
     for track in tracks:
@@ -394,8 +381,6 @@ def build_submap(
     tracks: list,
     frames_by_id: dict,
     camera: Camera,
-    params: BuildParams | None = None,
-    submap_id: int | None = None,
 ) -> Submap:
     """Reconstruct one subset into a Submap; failures come back discarded.
 
@@ -403,7 +388,6 @@ def build_submap(
     seed. Non-converging optimization marks the submap discarded rather
     than raising.
     """
-    params = params or BuildParams()
     frame_ids = [fid for fid in subset.all_ids() if fid in frames_by_id]
     if len(frame_ids) < 2:
         raise InsufficientOverlap("need at least two frames")
@@ -431,7 +415,7 @@ def build_submap(
         return (count, same_exp, -fa, -fb)
 
     (seed_a, seed_b), best_count = max(pair_counts.items(), key=pair_rank)
-    if best_count < params.min_seed_shared_tracks:
+    if best_count < MIN_SEED_SHARED_TRACKS:
         raise InsufficientOverlap(f"best pair shares {best_count} tracks")
 
     fa, fb = frames_by_id[seed_a], frames_by_id[seed_b]
@@ -456,11 +440,11 @@ def build_submap(
         (f for f in exp_frames_a if f.frame_id not in window_ids),
         key=lambda f: min(abs(f.timestamp - t_lo), abs(f.timestamp - t_hi)),
     )
-    for f in neighbors[: max(0, params.seed_window - len(window_ids))]:
+    for f in neighbors[: max(0, SEED_WINDOW - len(window_ids))]:
         window_ids.add(f.frame_id)
 
     candidates = []
-    for psi in _yaw_candidates(params.yaw_grid):
+    for psi in _yaw_candidates(YAW_GRID):
         rot_a = so3.yaw_matrix(psi) @ base_a
         hyp_poses = {}
         chain = chains[fa.experience_id]
@@ -473,7 +457,7 @@ def build_submap(
             else:
                 continue
             hyp_poses[fid] = Pose.from_matrix(rot, f.gps[:3])
-        points, score = _window_score(hyp_poses, tracks, frames_by_id, camera, params)
+        points, score = _window_score(hyp_poses, tracks, frames_by_id, camera)
         if points is not None and len(points) >= 4:
             candidates.append((score, psi, hyp_poses, points))
     candidates.sort(key=lambda c: c[0])
@@ -486,26 +470,25 @@ def build_submap(
     for score, psi, hyp_poses, points in candidates[:3]:
         try:
             ref_poses, ref_points, _, _ = bundle_adjust(
-                hyp_poses, points, tracks_by_id, frames_by_id, camera, params, max_iterations=20
+                hyp_poses, points, tracks_by_id, frames_by_id, camera, max_iterations=20
             )
         except NonFinite as exc:
             failures.append(f"yaw {np.degrees(psi):.0f} deg: {exc}")
             continue
-        _, cost = _window_score(ref_poses, tracks, frames_by_id, camera, params)
+        ref_points, cost = _window_score(ref_poses, tracks, frames_by_id, camera)
         if best is None or cost < best[0]:
-            best = (cost, ref_poses)
+            best = (cost, ref_poses, ref_points)
     if best is None:
         raise InsufficientOverlap("seed refinement failed: " + "; ".join(failures))
 
-    poses = best[1]
-    points, _ = _window_score(poses, tracks, frames_by_id, camera, params)
+    _, poses, points = best
     poses, points, result, _ = bundle_adjust(
-        poses, points, tracks_by_id, frames_by_id, camera, params, max_iterations=30
+        poses, points, tracks_by_id, frames_by_id, camera, max_iterations=30
     )
 
     failed: dict = {}  # frame id -> match count when registration last failed
     since_ba = 0
-    gravity_sqrtw = 1.0 / np.deg2rad(params.gravity_sigma_deg)
+    gravity_sqrtw = 1.0 / np.deg2rad(GRAVITY_SIGMA_DEG)
     while True:
         # Next frame: most observations of already-triangulated tracks.
         # Failed frames become eligible again once they can see more points.
@@ -514,7 +497,7 @@ def build_submap(
             if fid in poses:
                 continue
             count = sum(1 for tid, _ in frame_tracks.get(fid, []) if tid in points)
-            if count >= params.min_register_matches and count > failed.get(fid, -1):
+            if count >= MIN_REGISTER_MATCHES and count > failed.get(fid, -1):
                 candidates.append((count, -fid))
         if not candidates:
             break
@@ -537,20 +520,20 @@ def build_submap(
             inits.append(Pose.from_matrix(rot, frame.gps[:3]))
         else:
             base = gravity_aligned_base(frame.ins_gravity)
-            for psi in _yaw_candidates(params.yaw_grid):
+            for psi in _yaw_candidates(YAW_GRID):
                 inits.append(Pose.from_matrix(so3.yaw_matrix(psi) @ base, frame.gps[:3]))
 
-        early = len(poses) < params.early_phase_frames
-        inlier_px = params.register_inlier_px * (3.0 if early else 1.0)
+        early = len(poses) < EARLY_PHASE_FRAMES
+        inlier_px = REGISTER_INLIER_PX * (3.0 if early else 1.0)
         best_pose = None
         best_inliers = -1
         for init in inits:
-            pose, _, _ = refine_pose(pts3d, pix, camera, init, frame.ins_gravity, gravity_sqrtw, params.huber_delta_px)
+            pose, _, _ = refine_pose(pts3d, pix, camera, init, frame.ins_gravity, gravity_sqrtw, HUBER_DELTA_PX)
             errs = reprojection_errors(pose, pts3d, pix, camera)
             inliers = int((errs < inlier_px).sum())
             if inliers > best_inliers:
                 best_pose, best_inliers = pose, inliers
-        if best_pose is None or best_inliers < params.min_register_matches:
+        if best_pose is None or best_inliers < MIN_REGISTER_MATCHES:
             failed[fid] = count
             continue
         poses[fid] = best_pose
@@ -558,38 +541,36 @@ def build_submap(
 
         # Only tracks observing the new frame can have become solvable.
         new_tracks = (tracks_by_id[tid] for tid, _ in frame_tracks.get(fid, []))
-        _triangulate_solvable(new_tracks, points, poses, frames_by_id, camera, params)
-        if early or since_ba >= params.periodic_ba_every:
+        _triangulate_solvable(new_tracks, points, poses, frames_by_id, camera)
+        if early or since_ba >= PERIODIC_BA_EVERY:
             poses, points, _, _ = bundle_adjust(
-                poses, points, tracks_by_id, frames_by_id, camera, params, max_iterations=15
+                poses, points, tracks_by_id, frames_by_id, camera, max_iterations=15
             )
             # Cleaner geometry: re-triangulate everything solvable and give
             # previously failed frames another chance.
-            _triangulate_solvable(tracks, points, poses, frames_by_id, camera, params)
+            _triangulate_solvable(tracks, points, poses, frames_by_id, camera)
             failed.clear()
             since_ba = 0
 
     # Re-triangulate everything from the final incremental poses.
     points = {}
-    _triangulate_solvable(tracks, points, poses, frames_by_id, camera, params)
+    _triangulate_solvable(tracks, points, poses, frames_by_id, camera)
 
     discard_reasons = []
-    if len(points) < params.min_landmarks:
+    if len(points) < MIN_LANDMARKS:
         discard_reasons.append(f"only {len(points)} landmarks triangulated")
         rmse = float("inf")
         final_cost = float("inf")
     else:
-        poses, points, result, rmse = bundle_adjust(
-            poses, points, tracks_by_id, frames_by_id, camera, params
-        )
+        poses, points, result, rmse = bundle_adjust(poses, points, tracks_by_id, frames_by_id, camera)
         final_cost = result.cost
         if not result.converged:
             discard_reasons.append("bundle adjustment diverged")
-        if rmse > params.rmse_max:
-            discard_reasons.append(f"reprojection rmse {rmse:.2f} px exceeds {params.rmse_max}")
+        if rmse > RMSE_MAX:
+            discard_reasons.append(f"reprojection rmse {rmse:.2f} px exceeds {RMSE_MAX}")
 
     registered_fraction = len(poses) / max(1, len(frame_ids))
-    if registered_fraction < params.min_registered_fraction:
+    if registered_fraction < MIN_REGISTERED_FRACTION:
         discard_reasons.append(
             f"registered {len(poses)}/{len(frame_ids)} frames"
         )
@@ -612,7 +593,7 @@ def build_submap(
         ]
 
     return Submap(
-        submap_id=subset.subset_id if submap_id is None else submap_id,
+        submap_id=subset.subset_id,
         experience_id=subset.experience_id,
         poses=poses,
         landmark_positions=np.array([points[tid] for tid in track_ids]).reshape(-1, 3),

@@ -10,25 +10,19 @@ consecutive frames stay within a simple vehicle motion model.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from ..geometry import GRAVITY_WORLD, so3
 from .types import Submap, VerificationReport
 
-
-@dataclass(frozen=True)
-class VerifyThresholds:
-    rel_rot_deg: float = 2.0
-    gravity_deg: float = 5.0
-    max_speed: float = 15.0  # m/s
-    max_accel: float = 5.0  # m/s^2
+REL_ROT_DEG = 2.0
+GRAVITY_DEG = 5.0
+MAX_SPEED = 15.0  # m/s
+MAX_ACCEL = 5.0  # m/s^2
 
 
-def verify_submap(submap: Submap, frames_by_id: dict, thresholds: VerifyThresholds | None = None) -> VerificationReport:
+def verify_submap(submap: Submap, frames_by_id: dict) -> VerificationReport:
     """Run all three checks; failure is a value, not an exception."""
-    thresholds = thresholds or VerifyThresholds()
     reasons = []
 
     # Consecutive reconstructed frames of the origin experience, time order.
@@ -49,7 +43,7 @@ def verify_submap(submap: Submap, frames_by_id: dict, thresholds: VerifyThreshol
         angle = np.linalg.norm(so3.log(rot_ins.T @ rot_sfm))
         rel_angles.append(np.degrees(angle))
     median_rel = float(np.median(rel_angles)) if rel_angles else float("nan")
-    if rel_angles and median_rel >= thresholds.rel_rot_deg:
+    if rel_angles and median_rel >= REL_ROT_DEG:
         reasons.append(f"relative rotations disagree with INS (median {median_rel:.2f} deg)")
 
     grav_angles = []
@@ -60,7 +54,7 @@ def verify_submap(submap: Submap, frames_by_id: dict, thresholds: VerifyThreshol
         cosang = float(np.clip(np.dot(measured, reconstructed), -1.0, 1.0))
         grav_angles.append(np.degrees(np.arccos(cosang)))
     median_grav = float(np.median(grav_angles)) if grav_angles else float("nan")
-    if grav_angles and median_grav >= thresholds.gravity_deg:
+    if grav_angles and median_grav >= GRAVITY_DEG:
         reasons.append(f"gravity deviates from INS (median {median_grav:.2f} deg)")
 
     speeds = []
@@ -70,8 +64,8 @@ def verify_submap(submap: Submap, frames_by_id: dict, thresholds: VerifyThreshol
             continue
         speeds.append(float(np.linalg.norm(submap.poses[b].t - submap.poses[a].t)) / dt)
     max_speed = float(np.max(speeds)) if speeds else float("nan")
-    if speeds and max_speed > thresholds.max_speed:
-        reasons.append(f"implied speed {max_speed:.1f} m/s exceeds {thresholds.max_speed}")
+    if speeds and max_speed > MAX_SPEED:
+        reasons.append(f"implied speed {max_speed:.1f} m/s exceeds {MAX_SPEED}")
     accels = []
     for (a, b), (c, d) in zip(consecutive[:-1], consecutive[1:]):
         if b != c:
@@ -84,8 +78,8 @@ def verify_submap(submap: Submap, frames_by_id: dict, thresholds: VerifyThreshol
         v2 = (submap.poses[d].t - submap.poses[c].t) / dt2
         accels.append(float(np.linalg.norm(v2 - v1)) / (0.5 * (dt1 + dt2)))
     max_accel = float(np.max(accels)) if accels else float("nan")
-    if accels and max_accel > thresholds.max_accel:
-        reasons.append(f"implied acceleration {max_accel:.1f} m/s^2 exceeds {thresholds.max_accel}")
+    if accels and max_accel > MAX_ACCEL:
+        reasons.append(f"implied acceleration {max_accel:.1f} m/s^2 exceeds {MAX_ACCEL}")
 
     return VerificationReport(
         passed=not reasons,

@@ -1,4 +1,4 @@
-"""File formats for experiences, truth sidecars, VIO logs, and worlds.
+"""File formats for experiences, truth sidecars, and worlds.
 
 Experience logs are JSON Lines, one record per frame:
 {"frame_id", "experience_id", "timestamp", "gps": [x, y, z, sigma],
@@ -19,7 +19,6 @@ import numpy as np
 
 from ..geometry import Pose
 from .experience import Experience, Frame
-from .vio import VioLog
 from .world import Landmark, Street, World, WorldConfig
 
 
@@ -115,31 +114,6 @@ def read_truth_sidecar(path) -> dict:
                 "landmark_ids": np.array(rec["landmark_ids"], dtype=int),
             }
     return truth
-
-
-def write_vio_log(log: VioLog, path) -> None:
-    with open(path, "w") as fh:
-        fh.write(json.dumps({"meta": {"drift_rate": log.drift_rate}}) + "\n")
-        for t, pose in zip(log.timestamps, log.poses):
-            fh.write(json.dumps({"timestamp": float(t), "q": _floats(pose.q), "t": _floats(pose.t)}) + "\n")
-
-
-def read_vio_log(path) -> VioLog:
-    timestamps = []
-    poses = []
-    drift_rate = 0.0
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            rec = json.loads(line)
-            if "meta" in rec:
-                drift_rate = rec["meta"].get("drift_rate", 0.0)
-                continue
-            timestamps.append(rec["timestamp"])
-            poses.append(Pose(np.array(rec["q"]), np.array(rec["t"])))
-    return VioLog(np.array(timestamps), poses, drift_rate)
 
 
 def write_world(world: World, path) -> None:
@@ -246,8 +220,3 @@ class Oracle:
 
     def frame_ids(self):
         return self._truth.keys()
-
-
-def oracle_pose(oracle: Oracle, frame_id: int) -> Pose:
-    """Exact hidden pose of a frame; raises UnknownFrame if absent."""
-    return oracle.pose(frame_id)

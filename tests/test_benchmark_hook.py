@@ -11,7 +11,7 @@ import numpy as np
 
 from cityvps import fusion
 from cityvps.geometry import GRAVITY_WORLD, Camera, Pose, camera_projection, reproject, so3
-from cityvps.mapbuild import BuildParams, Submap, build_tracks, sfm, split_experience
+from cityvps.mapbuild import Submap, build_tracks, sfm, split_experience
 from cityvps.worldsim import (
     NoiseConfig,
     SimConfig,
@@ -67,7 +67,7 @@ def test_traced_build_submap_restores_every_rebound_name():
             for name, value in names.items()
             if vars(module)[name] is not value
         }
-        submap = sfm.build_submap(subset, tracks, frames_by_id, sim.camera, BuildParams())
+        submap = sfm.build_submap(subset, tracks, frames_by_id, sim.camera)
     finally:
         restore()
 

@@ -3,10 +3,8 @@
 import numpy as np
 import pytest
 
+from cityvps import fusion
 from cityvps.fusion import (
-    FusionParams,
-    GlobalMap,
-    SharedFrameLink,
     UnknownSubmap,
     _FusionProblem,
     _gps_rows,
@@ -108,10 +106,8 @@ class TestFuse:
         poses_b = {fid: Pose(p.q, p.t + rng.normal(scale=0.3, size=3)) for fid, p in line_poses(10, base_fid=5).items()}
         a = make_submap(1, poses_a)
         b = make_submap(2, poses_b)
-        links = collect_links([a, b])
-        params = FusionParams()
-        problem = _FusionProblem([1, 2], links, _gps_rows([a, b], params), params.rotation_weight)
-        transforms, _ = fuse([a, b], links)
+        problem = _FusionProblem([1, 2], collect_links([a, b]), _gps_rows([a, b]))
+        transforms, _ = fuse([a, b])
         identity_cost = 0.5 * float(np.sum(problem.residuals(problem.pack({1: Sim3.identity(), 2: Sim3.identity()})) ** 2))
         final_cost = 0.5 * float(np.sum(problem.residuals(problem.pack(transforms)) ** 2))
         assert final_cost <= identity_cost + 1e-12
@@ -122,23 +118,20 @@ class TestFuse:
         poses = line_poses(10)
         noisy = {fid: warp.apply_pose(Pose(p.q, p.t + rng.normal(scale=0.2, size=3))) for fid, p in poses.items()}
         sm = make_submap(1, noisy, gps_override={fid: p.t for fid, p in poses.items()})
-        params = FusionParams()
-        problem = _FusionProblem([1], [], _gps_rows([sm], params), params.rotation_weight)
-        transforms, report = fuse([sm], params=params)
+        problem = _FusionProblem([1], [], _gps_rows([sm]))
+        transforms, report = fuse([sm])
         start = np.sqrt(np.mean(problem.residuals(problem.pack({1: Sim3.identity()})) ** 2))
         assert report.mean_gps_residual <= start
 
-    def test_gauge_relation_at_zero_gps_weight(self):
-        # With the GPS term off and a connected link graph, applying one
-        # global Sim3 to every transform rescales link displacements by the
-        # global scale and changes nothing else.
+    def test_global_sim3_scales_link_displacements(self):
+        # Applying one global Sim3 to every fused transform rescales each
+        # link displacement by the global scale, whatever the GPS weight.
         poses = line_poses(10)
         a = make_submap(1, poses)
         shifted = {fid: Pose(p.q, p.t + np.array([0.05, 0.0, 0.0])) for fid, p in poses.items()}
         b = make_submap(2, shifted)
         links = collect_links([a, b])
-        params = FusionParams(gps_weight=0.0)
-        transforms, report = fuse([a, b], links, params=params)
+        transforms, report = fuse([a, b])
 
         g = Sim3(so3.quat_from_rotvec([0.2, 0.1, -0.4]), np.array([3.0, 7.0, -1.0]), 1.7)
         moved = {sid: g.compose(t) for sid, t in transforms.items()}
@@ -153,9 +146,8 @@ class TestFuse:
         sms = [make_submap(1, line_poses(6)), make_submap(2, line_poses(6, base_fid=3)),
                make_submap(3, line_poses(6, base_fid=5))]
         links = collect_links(sms)
-        params = FusionParams()
-        gps_rows = _gps_rows(sms, params)
-        problem = _FusionProblem([1, 2, 3], links, gps_rows, params.rotation_weight)
+        gps_rows = _gps_rows(sms)
+        problem = _FusionProblem([1, 2, 3], links, gps_rows)
         x = np.random.default_rng(11).normal(scale=0.2, size=21)
         t = problem.unpack(x)
         expected = []
@@ -164,7 +156,7 @@ class TestFuse:
                 for sl, pl in link.entries[i + 1 :]:
                     expected.append(t[sk].apply(pk.t) - t[sl].apply(pl.t))
                     q = t[sk].rotation @ pk.rotation @ (t[sl].rotation @ pl.rotation).T
-                    expected.append(params.rotation_weight * so3.log(q))
+                    expected.append(fusion.ROTATION_WEIGHT * so3.log(q))
         for sid, pos, gps, sw in gps_rows:
             expected.append(sw * (t[sid].apply(pos) - gps))
         np.testing.assert_allclose(problem.residuals(x), np.concatenate(expected), rtol=0.0, atol=1e-12)
@@ -175,8 +167,7 @@ class TestFuse:
         poses_b = line_poses(6, base_fid=3)
         a = make_submap(1, poses_a)
         b = make_submap(2, poses_b)
-        params = FusionParams()
-        problem = _FusionProblem([1, 2], collect_links([a, b]), _gps_rows([a, b], params), params.rotation_weight)
+        problem = _FusionProblem([1, 2], collect_links([a, b]), _gps_rows([a, b]))
         x = rng.normal(scale=0.2, size=14)
         analytic = problem.jacobian(x)
         numeric = numeric_jacobian(problem.residuals, x)
@@ -243,9 +234,10 @@ class TestMapLifecycle:
             for sid in want.transforms:
                 assert_bit_identical(got.transforms[sid], want.transforms[sid])
 
-    def test_exhausted_budget_raises(self):
+    def test_exhausted_budget_raises(self, monkeypatch):
+        monkeypatch.setattr(fusion, "MAX_ITERATIONS", 2)
         with pytest.raises(SolverDiverged):
-            fuse(self.pair(), params=FusionParams(max_iterations=2))
+            fuse(self.pair())
 
     def test_disjoint_addition_is_bit_identical(self):
         gmap = self.build_map()
@@ -272,16 +264,6 @@ class TestMapLifecycle:
         for sid in fresh.transforms:
             assert np.linalg.norm(updated.transforms[sid].t - fresh.transforms[sid].t) < 1e-6
 
-    def test_update_with_other_params_resolves_everything(self):
-        a, b = self.pair()
-        gmap = build_global_map([a, b])
-        params = FusionParams(rotation_weight=10.0)
-        updated = update_map(gmap, [make_submap(3, line_poses(8, base_fid=1000, start=5000.0))], params=params)
-        fresh = build_global_map([a, b], params=params)
-        assert np.linalg.norm(fresh.transforms[1].t - gmap.transforms[1].t) > 0.05  # the optimum moved
-        for sid in fresh.transforms:
-            assert np.linalg.norm(updated.transforms[sid].t - fresh.transforms[sid].t) < 1e-6
-
     def test_report_covers_whole_map_after_partial_update(self):
         a, b = self.pair()
         c = make_submap(3, line_poses(6, base_fid=1000, start=5000.0))
@@ -294,8 +276,7 @@ class TestMapLifecycle:
 
         submaps = list(updated.submaps.values())
         links = collect_links(submaps)
-        params = FusionParams()
-        problem = _FusionProblem(sorted(updated.submaps), links, _gps_rows(submaps, params), params.rotation_weight)
+        problem = _FusionProblem(sorted(updated.submaps), links, _gps_rows(submaps))
         r = problem.residuals(problem.pack(updated.transforms))
         assert updated.report.final_cost == pytest.approx(0.5 * float(r @ r), rel=1e-12)
         frame_ids = [link.frame_id for link in links]

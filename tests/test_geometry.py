@@ -11,7 +11,6 @@ from cityvps.geometry import (
     Camera,
     Pose,
     Sim3,
-    backproject,
     camera_projection,
     huber,
     numeric_jacobian,
@@ -155,19 +154,6 @@ class TestProjection:
         cam = Camera(500.0, 320.0, 240.0, 640, 480)
         px = project(np.array([1.0, 0.0, 10.0]), Pose.identity(), cam)
         assert np.allclose(px, [370.0, 240.0])
-
-    def test_project_backproject_roundtrip(self):
-        rng = np.random.default_rng(11)
-        cam = Camera(400.0, 320.0, 240.0, 640, 480)
-        for _ in range(100):
-            pose = random_pose(rng)
-            depth = rng.uniform(0.5, 50.0)
-            point_cam = np.array([rng.uniform(-0.5, 0.5) * depth, rng.uniform(-0.5, 0.5) * depth, depth])
-            point_world = pose.apply(point_cam)
-            px = project(point_world, pose, cam)
-            assert px is not None
-            recovered = backproject(px, depth, pose, cam)
-            assert np.allclose(recovered, point_world, atol=1e-9)
 
     def test_invalid_camera(self):
         with pytest.raises(ValueError):

@@ -1,8 +1,9 @@
 """Checks of the package's public surface.
 
 Every name a subpackage lists in ``__all__`` must be bound where it claims
-to come from, and no module may import a name it neither uses nor
-re-exports: dead imports are how deleted API creeps back. Every console
+to come from, and no module of the package or of its tests may import a
+name it neither uses nor re-exports: dead imports are how deleted API
+creeps back. Every console
 script that ``pyproject.toml`` declares must resolve to a callable.
 """
 
@@ -15,6 +16,7 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "cityvps"
 MODULES = sorted(PACKAGE.rglob("*.py"))
+TEST_MODULES = sorted((ROOT / "tests").glob("*.py"))
 
 
 def parse(path):
@@ -98,12 +100,17 @@ def test_all_names_resolve(subpackage):
             assert name in top_level_names(parse(origin)), f"{name!r} is not defined in {origin.name}"
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: str(p.relative_to(PACKAGE)))
+def module_id(path):
+    """A package module's path in the package, a test module's in the repository."""
+    return str(path.relative_to(PACKAGE if path.is_relative_to(PACKAGE) else ROOT))
+
+
+@pytest.mark.parametrize("path", MODULES + TEST_MODULES, ids=module_id)
 def test_no_unused_imports(path):
     tree = parse(path)
     keep = used_names(tree) | set(dunder_all(tree))
     unused = sorted(name for name in imported_names(tree) if name not in keep)
-    assert not unused, f"{path.relative_to(PACKAGE)} imports unused {unused}"
+    assert not unused, f"{module_id(path)} imports unused {unused}"
 
 
 def test_console_scripts_resolve():

@@ -20,23 +20,20 @@ from cityvps.geometry import (
 )
 from cityvps.geometry import least_squares
 from cityvps.geometry.least_squares import _normal_equations, _row_weights
+from cityvps.fusion import _gps_rows
 from cityvps.mapbuild import (
-    BuildParams,
     InsufficientOverlap,
+    Submap,
     Track,
-    VerifyThresholds,
     build_submap,
     build_tracks,
     bundle_adjust,
     split_experience,
-    triangulate_midpoint,
     verify_submap,
 )
 from cityvps.mapbuild import sfm
-from cityvps.mapbuild.sfm import _BAProblem, gps_weight_for, triangulate_midpoints
+from cityvps.mapbuild.sfm import _BAProblem, gps_weight, triangulate_midpoints
 from cityvps.worldsim import (
-    Experience,
-    Frame,
     NoiseConfig,
     SimConfig,
     Street,
@@ -55,7 +52,7 @@ def street_world(length=150.0, density=40.0, seed=7):
     return generate_world_from_streets(streets, config, seed=seed)
 
 
-def build_from(world, noise, seed=0, experience_id=1, params=None):
+def build_from(world, noise, seed=0, experience_id=1):
     exp = simulate_experience(
         world, ["main"], experience_id=experience_id, noise=noise,
         sim=SimConfig(speed=6.0, frame_rate=1.0), seed=seed,
@@ -63,7 +60,7 @@ def build_from(world, noise, seed=0, experience_id=1, params=None):
     frames_by_id = {f.frame_id: f for f in exp.frames}
     subset = split_experience(exp, seed=0)[0]
     tracks = build_tracks(subset, frames_by_id)
-    submap = build_submap(subset, tracks, frames_by_id, CAMERA, params or BuildParams())
+    submap = build_submap(subset, tracks, frames_by_id, CAMERA)
     return exp, frames_by_id, subset, tracks, submap
 
 
@@ -132,7 +129,7 @@ class TestNoise:
         subset = split_experience(exp, seed=0)[0]
         tracks = build_tracks(subset, frames_by_id)
         try:
-            submap = build_submap(subset, tracks, frames_by_id, CAMERA, BuildParams())
+            submap = build_submap(subset, tracks, frames_by_id, CAMERA)
         except InsufficientOverlap:
             return  # failure surfaced loudly, acceptable
         if submap.status == "built":
@@ -283,7 +280,7 @@ class TestBundleAdjustInternals:
         """bundle_adjust's result and RMSE, and the peak of memory traced while it ran."""
         tracemalloc.start()
         try:
-            _, _, result, rmse = bundle_adjust(poses, points, tracks_by_id, frames_by_id, CAMERA, BuildParams())
+            _, _, result, rmse = bundle_adjust(poses, points, tracks_by_id, frames_by_id, CAMERA)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -326,7 +323,7 @@ class TestBundleAdjustInternals:
 
         monkeypatch.setattr(least_squares, "cholesky_banded", cholesky_banded)
         poses, points, tracks_by_id, frames_by_id = self.truth_started_street(150.0)
-        _, _, result, rmse = bundle_adjust(poses, points, tracks_by_id, frames_by_id, CAMERA, BuildParams())
+        _, _, result, rmse = bundle_adjust(poses, points, tracks_by_id, frames_by_id, CAMERA)
         assert result.converged and rmse < 1e-8
         trials = len(result.cost_history) - 1 + result.rejected_steps
         assert result.linear_solves == len(factorisations) == trials + 1
@@ -339,24 +336,21 @@ class TestBundleAdjustInternals:
         frames_by_id = {f.frame_id: f for f in exp.frames}
         subset = split_experience(exp)[0]
         tracks = build_tracks(subset, frames_by_id)
-        submap = build_submap(subset, tracks, frames_by_id, CAMERA, BuildParams())
+        submap = build_submap(subset, tracks, frames_by_id, CAMERA)
         # Re-run the final optimization to inspect its cost trace.
         poses = dict(submap.poses)
         tracks_by_id = {t.track_id: t for t in tracks}
         points = {int(tid): submap.landmark_positions[i]
                   for i, tid in enumerate(submap.landmark_track_ids)}
-        _, _, result, _ = bundle_adjust(poses, points, tracks_by_id, frames_by_id, CAMERA, BuildParams())
+        _, _, result, _ = bundle_adjust(poses, points, tracks_by_id, frames_by_id, CAMERA)
         hist = np.array(result.cost_history)
         assert np.all(np.diff(hist) <= 1e-12)
 
     def test_reprojection_term_sim3_invariant(self):
-        # With the GPS weight off, the reprojection part of the objective is
-        # exactly invariant under a global similarity transform.
+        # The reprojection part of the objective is exactly invariant under a
+        # global similarity transform, whatever the GPS weight.
         world = street_world(length=80.0)
-        _, frames_by_id, subset, tracks, submap = build_from(
-            world, NoiseConfig.zero(),
-            params=BuildParams(gps_weight=1e-12),
-        )
+        _, frames_by_id, subset, tracks, submap = build_from(world, NoiseConfig.zero())
         g = Sim3(so3.quat_from_rotvec([0.1, -0.2, 0.3]), np.array([5.0, -3.0, 1.0]), 1.3)
 
         def reproj_cost(poses, landmarks):
@@ -381,10 +375,37 @@ class TestBundleAdjustInternals:
         assert reproj_cost(moved_poses, moved_landmarks) == pytest.approx(base, abs=1e-9)
 
     def test_gps_weight_defaults(self):
-        params = BuildParams()
-        assert gps_weight_for(5.0, params) == pytest.approx(1.0 / 25.0)
+        assert gps_weight(5.0) == pytest.approx(1.0 / 25.0)
         # Sigma floor keeps zero-noise weights finite.
-        assert np.isfinite(gps_weight_for(0.0, params))
+        assert gps_weight(0.0) == pytest.approx(100.0)
+
+    def test_bundle_adjustment_and_fusion_weigh_a_fix_alike(self, monkeypatch):
+        # A fix of sigma 0 m (floored) and one of 5 m get the same weight in
+        # BA's GPS rows as in fusion's.
+        poses, points, tracks_by_id, frames_by_id = self.truth_started_street(150.0)
+        fixes = {fid: sigma for fid, sigma in zip(sorted(poses)[:2], (0.0, 5.0))}
+        for fid, sigma in fixes.items():
+            frames_by_id[fid].gps[3] = sigma
+        solve = sfm.solve_least_squares
+        handed = {}
+
+        def spy(residual_fn, x0, jacobian=None, **kwargs):
+            handed.update(x0=x0, jacobian=jacobian)
+            return solve(residual_fn, x0, jacobian=jacobian, **kwargs)
+
+        monkeypatch.setattr(sfm, "solve_least_squares", spy)
+        bundle_adjust(poses, points, tracks_by_id, frames_by_id, CAMERA, max_iterations=1)
+        gps_block = handed["jacobian"](handed["x0"]).frame_rows[0]  # sqrt(w) I on each camera's position
+        ba_sqrtw = dict(zip(sorted(poses), gps_block[:, 0, 3]))
+        submap = Submap(
+            submap_id=1, experience_id=1, poses=poses, landmark_positions=np.zeros((0, 3)),
+            landmark_descriptors=np.zeros((0, 16)), landmark_track_ids=np.zeros(0, dtype=int),
+            gps_priors={fid: frames_by_id[fid].gps.copy() for fid in poses}, member_ids=sorted(poses),
+            augmented_ids=[],
+        )
+        fusion_sqrtw = {fid: sw for (_, _, _, sw), fid in zip(_gps_rows([submap]), sorted(poses))}
+        for fid, sigma in fixes.items():
+            assert ba_sqrtw[fid] == fusion_sqrtw[fid] == np.sqrt(gps_weight(sigma))
 
 
 class TestSeedRefinementFailures:
@@ -394,7 +415,7 @@ class TestSeedRefinementFailures:
                                   sim=SimConfig(speed=6.0), seed=0)
         frames_by_id = {f.frame_id: f for f in exp.frames}
         subset = split_experience(exp)[0]
-        return build_submap(subset, build_tracks(subset, frames_by_id), frames_by_id, CAMERA, BuildParams())
+        return build_submap(subset, build_tracks(subset, frames_by_id), frames_by_id, CAMERA)
 
     def test_solver_failure_reason_is_reported(self, monkeypatch):
         def failing(*args, **kwargs):
@@ -421,14 +442,14 @@ class TestTriangulation:
         origins = np.array([[0.0, 0.0, 0.0], [10.0, 0.0, 0.0], [0.0, 10.0, 0.0]])
         dirs = point - origins
         dirs = dirs / np.linalg.norm(dirs, axis=1, keepdims=True)
-        x = triangulate_midpoint(origins, dirs, 1.0, 0.05)
-        assert np.allclose(x, point, atol=1e-9)
+        x, ok = triangulate_midpoints(origins, dirs, [0], 1.0, 0.05)
+        assert ok[0] and np.allclose(x[0], point, atol=1e-9)
 
     def test_low_parallax_rejected(self):
         origins = np.array([[0.0, 0.0, 0.0], [0.01, 0.0, 0.0]])
         d = np.array([0.0, 0.0, 1.0])
         dirs = np.array([d, d])
-        assert triangulate_midpoint(origins, dirs, 1.0, 0.05) is None
+        assert not triangulate_midpoints(origins, dirs, [0], 1.0, 0.05)[1][0]
 
     def test_behind_camera_rejected(self):
         origins = np.array([[0.0, 0.0, 0.0], [10.0, 0.0, 0.0]])
@@ -437,7 +458,7 @@ class TestTriangulation:
             -(target - origins[0]) / np.linalg.norm(target - origins[0]),
             -(target - origins[1]) / np.linalg.norm(target - origins[1]),
         ])
-        assert triangulate_midpoint(origins, dirs, 1.0, 0.05) is None
+        assert not triangulate_midpoints(origins, dirs, [0], 1.0, 0.05)[1][0]
 
 
 def reference_midpoint(origins, directions, min_angle_deg, min_depth):
@@ -594,4 +615,4 @@ def test_minimal_frames_rejected():
     subset.member_ids = [exp.frames[0].frame_id]
     subset.augmented_ids = []
     with pytest.raises(InsufficientOverlap):
-        build_submap(subset, [], frames_by_id, CAMERA, BuildParams())
+        build_submap(subset, [], frames_by_id, CAMERA)

@@ -1,9 +1,9 @@
-"""World generation, experience simulation, and VIO drift checks."""
+"""World generation, experience simulation, and the ground-truth oracle."""
 
 import numpy as np
 import pytest
 
-from cityvps.geometry import Pose, project
+from cityvps.geometry import project
 from cityvps.worldsim import (
     BadConfig,
     NoiseConfig,
@@ -16,9 +16,7 @@ from cityvps.worldsim import (
     corrupt_observations,
     generate_world,
     generate_world_from_streets,
-    oracle_pose,
     simulate_experience,
-    simulate_vio,
 )
 
 
@@ -183,49 +181,15 @@ class TestSimulateExperience:
             assert np.array_equal(f1.descriptors, f2.descriptors)
 
 
-class TestVio:
-    def make_trajectory(self, n=21, step=1.0):
-        poses = []
-        for k in range(n):
-            poses.append((float(k), Pose(np.array([1.0, 0, 0, 0]), np.array([10.0 + k * step, 5.0, 1.5]))))
-        return poses
-
-    def test_zero_drift_is_rigid(self):
-        traj = self.make_trajectory()
-        log = simulate_vio(traj, 0.0, seed=0)
-        assert np.allclose(log.poses[0].t, 0.0, atol=1e-12)
-        # Rigid: all pairwise distances preserved.
-        for i in (0, 5, 10):
-            for j in (3, 7, 20):
-                d_true = np.linalg.norm(traj[i][1].t - traj[j][1].t)
-                d_local = np.linalg.norm(log.poses[i].t - log.poses[j].t)
-                assert d_local == pytest.approx(d_true, abs=1e-9)
-
-    def test_drift_magnitude(self):
-        # 2% drift over 20 m: mean error in [0.2, 0.6] m.
-        traj = self.make_trajectory(n=21, step=1.0)
-        errs = []
-        for seed in range(1000):
-            log = simulate_vio(traj, 0.02, seed=seed)
-            base = simulate_vio(traj, 0.0, seed=seed)
-            errs.append(np.linalg.norm(log.poses[-1].t - base.poses[-1].t))
-        mean_err = float(np.mean(errs))
-        assert 0.2 <= mean_err <= 0.6
-
-    def test_empty_trajectory(self):
-        log = simulate_vio([], 0.02, seed=0)
-        assert len(log) == 0
-
-
 class TestOracle:
     def test_roundtrip_and_unknown(self):
         world = single_street_world()
         exp = simulate_experience(world, ["main"], experience_id=1, noise=NoiseConfig.zero(), seed=0)
         oracle = Oracle.from_experiences([exp])
         first = exp.frames[0]
-        assert oracle_pose(oracle, first.frame_id) is first.true_pose
+        assert oracle.pose(first.frame_id) is first.true_pose
         with pytest.raises(UnknownFrame):
-            oracle_pose(oracle, 999999999)
+            oracle.pose(999999999)
 
     def test_constant_velocity_interpolation(self):
         world = single_street_world(length=100.0)
@@ -235,8 +199,8 @@ class TestOracle:
         )
         oracle = Oracle.from_experiences([exp])
         f = exp.frames
-        mid = oracle_pose(oracle, f[5].frame_id).t
-        lerp = 0.5 * (oracle_pose(oracle, f[4].frame_id).t + oracle_pose(oracle, f[6].frame_id).t)
+        mid = oracle.pose(f[5].frame_id).t
+        lerp = 0.5 * (oracle.pose(f[4].frame_id).t + oracle.pose(f[6].frame_id).t)
         assert np.allclose(mid, lerp, atol=1e-9)
 
 

@@ -1,4 +1,4 @@
-"""Experience log / sidecar / VIO log / world file roundtrips."""
+"""Experience log / sidecar / world file roundtrips."""
 
 import json
 
@@ -10,13 +10,10 @@ from cityvps.worldsim import (
     generate_world,
     WorldConfig,
     read_experience,
-    read_vio_log,
     read_world,
     simulate_experience,
-    simulate_vio,
     write_experience,
     write_truth_sidecar,
-    write_vio_log,
     write_world,
 )
 
@@ -64,29 +61,6 @@ def test_sidecar_oracle(tmp_path):
     f = exp.frames[4]
     assert np.allclose(oracle.pose(f.frame_id).t, f.true_pose.t)
     assert np.array_equal(oracle.landmark_ids(f.frame_id), f.landmark_ids)
-
-
-def test_vio_roundtrip(tmp_path):
-    _, exp = make_experience()
-    traj = [(f.timestamp, f.true_pose) for f in exp.frames]
-    log = simulate_vio(traj, 0.02, seed=4)
-    path = tmp_path / "vio.jsonl"
-    write_vio_log(log, path)
-    loaded = read_vio_log(path)
-    assert np.allclose(loaded.timestamps, log.timestamps)
-    for p0, p1 in zip(log.poses, loaded.poses):
-        assert np.allclose(p0.q, p1.q)
-        assert np.allclose(p0.t, p1.t)
-
-
-def test_vio_log_without_meta_line(tmp_path):
-    # The meta line is optional; without it the drift rate reads as 0.
-    path = tmp_path / "vio.jsonl"
-    path.write_text(json.dumps({"timestamp": 0.5, "q": [1.0, 0.0, 0.0, 0.0], "t": [1.0, 2.0, 3.0]}) + "\n")
-    loaded = read_vio_log(path)
-    assert loaded.drift_rate == 0.0
-    assert np.allclose(loaded.timestamps, [0.5])
-    assert np.allclose(loaded.poses[0].t, [1.0, 2.0, 3.0])
 
 
 def test_world_roundtrip(tmp_path):
