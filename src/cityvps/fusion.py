@@ -31,7 +31,6 @@ import numpy as np
 
 from .geometry import Pose, Sim3, batch_skew, so3, solve_least_squares, umeyama
 from .mapbuild.sfm import gps_weight
-from .mapbuild.tracks import _UnionFind
 from .mapbuild.types import SolverDiverged, Submap
 
 
@@ -91,6 +90,22 @@ def collect_links(submaps) -> list:
         for fid, entries in sorted(by_frame.items())
         if len(entries) >= 2
     ]
+
+
+class _UnionFind:
+    def __init__(self, n):
+        self.parent = list(range(n))
+
+    def find(self, a):
+        while self.parent[a] != a:
+            self.parent[a] = self.parent[self.parent[a]]
+            a = self.parent[a]
+        return a
+
+    def union(self, a, b):
+        ra, rb = self.find(a), self.find(b)
+        if ra != rb:
+            self.parent[max(ra, rb)] = min(ra, rb)
 
 
 def link_components(submap_ids, links) -> list:

@@ -9,20 +9,26 @@ producing non-finite values.
 
 ``camera_projection`` is the one projection kernel: camera-frame points to
 pixels, their dpixel/dx_cam blocks and validity; the simulator's
-observations go through it too. ``reprojection_rows`` and ``gravity_rows``
-are the one observation model over a set of cameras: seed window scoring
-evaluates them once per window, and bundle adjustment adds its GPS rows to
-them. ``reprojection_rows`` is ``project_observations`` followed by
-``observation_residuals`` or ``observation_blocks``, so that a projection
-can serve both.
+observations go through it too. ``project_observations``,
+``observation_residuals``, ``observation_blocks`` and ``gravity_rows`` are
+the one observation model over a set of cameras: seed window scoring
+evaluates its residuals once per window (``reprojection_rows``), and bundle
+adjustment adds its GPS rows to them. One projection serves both the
+residuals and the Jacobian blocks of its point. A residual sees its point
+only through X - t, so ``observation_blocks`` returns the 2x6 camera blocks
+alone: the 2x3 point block is minus their translation half.
 
 Single-pose refinement (``PoseModel``) is the one-camera case with its
-points held fixed. It and bundle adjustment project once per LM point:
-Levenberg-Marquardt asks for the Jacobian at the point whose residuals it
-has just accepted, so each model keeps the projection of the last point it
-evaluated (``LastEvaluation``) and its Jacobian reuses it only at that same
-point, compared byte for byte; anywhere else it projects afresh. The reuse
-changes no number.
+points held fixed. With a single camera there is nothing to gather per
+point: it projects (X - t) R through ``camera_projection`` and forms its
+Jacobian as two (2n,3) by (3,3) products, the same numbers that
+``observation_blocks`` gives over camera indices that are all zero. It and
+bundle adjustment project once per LM point: Levenberg-Marquardt asks for
+the Jacobian at the point whose residuals it has just accepted, so each
+model keeps the projection of the last point it evaluated
+(``LastEvaluation``) and its Jacobian reuses it only at that same point,
+compared byte for byte; anywhere else it projects afresh. The reuse changes
+no number.
 """
 
 from __future__ import annotations
@@ -67,7 +73,7 @@ def project_observations(rots, ts, points, cams, camera: Camera):
     ``camera_projection``.
     """
     rot = np.take(rots, cams, axis=0)
-    xc = np.einsum("nji,nj->ni", rot, points - ts[cams])  # R^T (X - t)
+    xc = np.einsum("nji,nj->ni", rot, points - np.take(ts, cams, axis=0))  # R^T (X - t)
     return (xc, *camera_projection(xc, camera))
 
 
@@ -78,28 +84,23 @@ def observation_residuals(projection, pixels):
 
 
 def observation_blocks(projection, rots, cams, jrs):
-    """Jacobian blocks of the residuals at `projection`: camera (m,2,6) on [rotvec, t] and point (m,2,3).
+    """Camera Jacobian blocks (m,2,6) on [rotvec, t] of the residuals at `projection`.
 
     `rots` and `jrs` are the cameras' rotations and right Jacobians (F,3,3).
+    A residual sees its point only through X - t, so its point block is
+    minus the translation half of its camera block, `-blocks[:, :, 3:]`.
     """
     xc, _, a, _ = projection
     # dxc/drho = skew(xc) Jr ; dxc/dt = -R^T = -dxc/dX ; residual = pixel - proj.
     # np.take returns C-contiguous stacks, on which matmul is fastest.
     d_t = a @ np.take(np.transpose(rots, (0, 2, 1)), cams, axis=0)
     d_rho = -((a @ so3.batch_skew(xc)) @ np.take(jrs, cams, axis=0))
-    return np.concatenate([d_rho, d_t], axis=2), -d_t
+    return np.concatenate([d_rho, d_t], axis=2)
 
 
-def reprojection_rows(rots, ts, points, cams, pixels, camera: Camera, jrs=None):
-    """Residuals of observations, or their Jacobian blocks when `jrs` is given.
-
-    One projection followed by ``observation_residuals`` or, with the
-    cameras' right Jacobians `jrs`, by ``observation_blocks``.
-    """
-    projection = project_observations(rots, ts, points, cams, camera)
-    if jrs is None:
-        return observation_residuals(projection, pixels)
-    return observation_blocks(projection, rots, cams, jrs)
+def reprojection_rows(rots, ts, points, cams, pixels, camera: Camera):
+    """(m,2) residuals of observations: ``project_observations`` then ``observation_residuals``."""
+    return observation_residuals(project_observations(rots, ts, points, cams, camera), pixels)
 
 
 def gravity_rows(rots, gravity, sqrtw: float, jrs=None):
@@ -107,7 +108,7 @@ def gravity_rows(rots, gravity, sqrtw: float, jrs=None):
 
     `gravity` holds each camera's measured unit gravity direction in its own frame.
     """
-    g_body = np.einsum("nji,j->ni", rots, GRAVITY_WORLD)  # R^T g_w per camera
+    g_body = GRAVITY_WORLD @ rots  # R^T g_w per camera
     if jrs is None:
         return (g_body - gravity) * sqrtw
     # d(R^T g_w)/drho = skew(R^T g_w) Jr.
@@ -138,31 +139,39 @@ class LastEvaluation:
 class PoseModel:
     """Reprojection and gravity rows of one pose against fixed world points.
 
-    Parameters are [rotvec, t]. Residuals and Jacobian at one pose share
-    its rotation and projection (``LastEvaluation``).
+    Parameters are [rotvec, t]. With one camera there is nothing to gather:
+    the points project as (X - t) R, one row each, and the Jacobian's
+    reprojection rows are ``observation_blocks``' as two (2n,3) by (3,3)
+    products. Residuals and Jacobian at one pose share its rotation and
+    projection (``LastEvaluation``).
     """
 
     def __init__(self, points_world, pixels, camera: Camera, gravity_meas, gravity_sqrtw: float):
         self.points, self.pixels, self.camera = points_world, pixels, camera
-        self.cams = np.zeros(points_world.shape[0], dtype=int)
         self.gravity, self.gravity_sqrtw = gravity_meas, gravity_sqrtw
         self._project = LastEvaluation(self._projection)
 
     def _projection(self, p):
         # The scalar so3 helpers: on one pose the batched ones cost twice as much.
-        rot = so3.exp(p[:3])[None]
-        return rot, project_observations(rot, p[None, 3:], self.points, self.cams, self.camera)
+        rot = so3.exp(p[:3])
+        # (X - t) R, row by row: R^T (X - t) summed in project_observations' order.
+        xc = np.einsum("ji,nj->ni", rot, self.points - p[3:])
+        return rot, (xc, *camera_projection(xc, self.camera))
 
     def residuals(self, p):
         rot, projection = self._project(p)
         r = observation_residuals(projection, self.pixels)
-        return np.concatenate([r.ravel(), gravity_rows(rot, self.gravity, self.gravity_sqrtw).ravel()])
+        return np.concatenate([r.ravel(), gravity_rows(rot[None], self.gravity, self.gravity_sqrtw).ravel()])
 
     def jacobian(self, p):
-        rot, projection = self._project(p)
-        jr = so3.right_jacobian(p[:3])[None]
-        cam, _ = observation_blocks(projection, rot, self.cams, jr)
-        return np.vstack([cam.reshape(-1, 6), gravity_rows(rot, self.gravity, self.gravity_sqrtw, jr)[0]])
+        rot, (xc, _, a, _) = self._project(p)
+        jr = so3.right_jacobian(p[:3])
+        rows = 2 * xc.shape[0]
+        jac = np.empty((rows + 3, 6))
+        jac[:rows, :3] = -((a @ so3.batch_skew(xc)).reshape(rows, 3) @ jr)
+        jac[:rows, 3:] = a.reshape(rows, 3) @ rot.T
+        jac[rows:] = gravity_rows(rot[None], self.gravity, self.gravity_sqrtw, jr[None])[0]
+        return jac
 
 
 def refine_pose(

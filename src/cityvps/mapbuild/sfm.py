@@ -235,20 +235,12 @@ class _BAProblem:
         self._project = LastEvaluation(self._projection)
 
     def pack(self, poses: dict, points: dict) -> np.ndarray:
-        x = np.empty(6 * self.nf + 3 * self.nl)
-        for i, fid in enumerate(self.frame_ids):
-            x[6 * i : 6 * i + 6] = poses[fid].params()
-        for j, tid in enumerate(self.track_ids):
-            x[6 * self.nf + 3 * j : 6 * self.nf + 3 * j + 3] = points[tid]
-        return x
+        cams = [poses[fid].params() for fid in self.frame_ids]
+        return np.concatenate(cams + [np.array([points[tid] for tid in self.track_ids]).ravel()])
 
     def unpack(self, x):
-        poses = {}
-        points = {}
-        for i, fid in enumerate(self.frame_ids):
-            poses[fid] = Pose.from_params(x[6 * i : 6 * i + 6])
-        for j, tid in enumerate(self.track_ids):
-            points[tid] = x[6 * self.nf + 3 * j : 6 * self.nf + 3 * j + 3].copy()
+        poses = {fid: Pose.from_params(p) for fid, p in zip(self.frame_ids, x[: 6 * self.nf].reshape(-1, 6))}
+        points = dict(zip(self.track_ids, x[6 * self.nf :].reshape(-1, 3).copy()))
         return poses, points
 
     def _frames(self, x):
@@ -260,7 +252,7 @@ class _BAProblem:
         """Camera rotations and the projection of every observation."""
         rotvecs, ts = self._frames(x)
         rots = so3.exp_many(rotvecs)
-        pts = x[6 * self.nf :].reshape(self.nl, 3)[self.obs_l]
+        pts = np.take(x[6 * self.nf :].reshape(self.nl, 3), self.obs_l, axis=0)
         return rots, project_observations(rots, ts, pts, self.obs_f, self.camera)
 
     def residuals(self, x):
@@ -273,11 +265,11 @@ class _BAProblem:
     def jacobian(self, x) -> BlockJacobian:
         rots, projection = self._project(x)
         jrs = so3.right_jacobian_many(self._frames(x)[0])
-        cam, land = observation_blocks(projection, rots, self.obs_f, jrs)
+        cam = observation_blocks(projection, rots, self.obs_f, jrs)
         gps = np.zeros((self.nf, 3, 6))
         gps[:, [0, 1, 2], [3, 4, 5]] = self.gps_sqrtw[:, None]  # d/dt = sqrt(w) I
         gravity = gravity_rows(rots, self.gravity, self.gravity_sqrtw, jrs)
-        return BlockJacobian(self.structure, cam, land, [gps, gravity])
+        return BlockJacobian(self.structure, cam, [gps, gravity])
 
 
 def bundle_adjust(poses, points, tracks_by_id, frames_by_id, camera, max_iterations=None):
@@ -289,11 +281,12 @@ def bundle_adjust(poses, points, tracks_by_id, frames_by_id, camera, max_iterati
     """
     frame_ids = sorted(poses)
     track_ids = sorted(points)
-    observations = []
-    for tid in track_ids:
-        for fid, oi in tracks_by_id[tid].observations:
-            if fid in poses:
-                observations.append((fid, tid, frames_by_id[fid].pixels[oi]))
+    observations = [
+        (fid, tid, frames_by_id[fid].pixels[oi])
+        for tid in track_ids
+        for fid, oi in tracks_by_id[tid].observations
+        if fid in poses
+    ]
     gps = np.array([frames_by_id[fid].gps[:3] for fid in frame_ids])
     weights = np.array([gps_weight(frames_by_id[fid].gps[3]) for fid in frame_ids])
     gravity = np.array([frames_by_id[fid].ins_gravity for fid in frame_ids])

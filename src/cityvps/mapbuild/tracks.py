@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import numpy as np
+import scipy.sparse as sp
+from scipy.sparse.csgraph import connected_components
 
 from .types import Track
 
@@ -10,41 +12,25 @@ DEFAULT_MATCH_THRESHOLD = 0.24  # 3x default descriptor noise scale
 DEFAULT_GATING_RADIUS = 60.0
 
 
-class _UnionFind:
-    def __init__(self, n):
-        self.parent = list(range(n))
+def _mutual_matches(desc_a, sq_a, desc_b, sq_b, starts, threshold: float):
+    """Mutual nearest neighbours within the threshold of frame a and each of several frames b.
 
-    def find(self, a):
-        while self.parent[a] != a:
-            self.parent[a] = self.parent[self.parent[a]]
-            a = self.parent[a]
-        return a
-
-    def union(self, a, b):
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[max(ra, rb)] = min(ra, rb)
-
-
-def _mutual_matches(desc_a: np.ndarray, desc_b: np.ndarray, threshold: float):
-    """Index pairs that are mutual nearest neighbors within the threshold."""
-    if desc_a.shape[0] == 0 or desc_b.shape[0] == 0:
-        return []
+    `desc_b` stacks the b frames' descriptors, frame k from row `starts[k]`
+    on; every frame has at least one. `sq_a` and `sq_b` are squared
+    descriptor norms. Returns (ia, jb): matched rows of `desc_a` and of
+    `desc_b`.
+    """
     # Squared distances via the expansion trick.
-    d2 = (
-        (desc_a * desc_a).sum(axis=1)[:, None]
-        + (desc_b * desc_b).sum(axis=1)[None, :]
-        - 2.0 * desc_a @ desc_b.T
-    )
+    d2 = sq_a[:, None] + sq_b[None, :] - 2.0 * desc_a @ desc_b.T
     np.maximum(d2, 0.0, out=d2)
-    nn_ab = np.argmin(d2, axis=1)
     nn_ba = np.argmin(d2, axis=0)
-    pairs = []
-    thr2 = threshold * threshold
-    for ia, ib in enumerate(nn_ab):
-        if nn_ba[ib] == ia and d2[ia, ib] <= thr2:
-            pairs.append((ia, int(ib)))
-    return pairs
+    # Per frame b, the first column at its row minimum: np.argmin over each frame's columns.
+    nearest = np.minimum.reduceat(d2, starts, axis=1)
+    columns = np.arange(d2.shape[1])
+    at_min = d2 == np.repeat(nearest, np.diff(starts, append=d2.shape[1]), axis=1)
+    nn_ab = np.minimum.reduceat(np.where(at_min, columns, d2.shape[1]), starts, axis=1)
+    ia, frame = np.nonzero((nn_ba[nn_ab] == np.arange(d2.shape[0])[:, None]) & (nearest <= threshold * threshold))
+    return ia, nn_ab[ia, frame]
 
 
 def build_tracks(
@@ -58,52 +44,56 @@ def build_tracks(
     Frame pairs are matched only when their GPS distance is below the gating
     radius. Components that end up with two observations in one frame are
     inconsistent; the offending frame's observations are evicted and the
-    remainder kept when it still spans two frames.
+    remainder kept when it still spans two frames. Tracks come in the order
+    of their components' first observations (subset frame order, then
+    observation index), each listing its observations sorted.
     """
     frame_ids = [fid for fid in subset.all_ids() if fid in frames_by_id]
     frames = [frames_by_id[fid] for fid in frame_ids]
-    offsets = {}
-    total = 0
-    for fid, frame in zip(frame_ids, frames):
-        offsets[fid] = total
-        total += frame.n_observations
+    counts = np.array([frame.n_observations for frame in frames], dtype=np.intp)
+    offsets = np.cumsum(counts) - counts
+    total = int(counts.sum())
     if total == 0:
         return []
-    uf = _UnionFind(total)
-    positions = {fid: frames_by_id[fid].gps[:2] for fid in frame_ids}
-
-    for i in range(len(frame_ids)):
-        for j in range(i + 1, len(frame_ids)):
-            fa, fb = frame_ids[i], frame_ids[j]
-            if np.linalg.norm(positions[fa] - positions[fb]) >= gating_radius:
-                continue
-            pairs = _mutual_matches(frames[i].descriptors, frames[j].descriptors, match_threshold)
-            for ia, ib in pairs:
-                uf.union(offsets[fa] + ia, offsets[fb] + ib)
-
-    components: dict = {}
-    for fid, frame in zip(frame_ids, frames):
-        base = offsets[fid]
-        for oi in range(frame.n_observations):
-            components.setdefault(uf.find(base + oi), []).append((fid, oi))
-
-    tracks = []
-    next_id = 0
-    for key in sorted(components):
-        obs = components[key]
-        if len(obs) < 2:
+    squared = [(frame.descriptors * frame.descriptors).sum(axis=1) for frame in frames]
+    positions = np.array([frame.gps[:2] for frame in frames])
+    near = np.linalg.norm(positions[:, None] - positions[None], axis=2) < gating_radius
+    near &= (counts > 0)[:, None] & (counts > 0)[None, :]
+    # Each frame is matched against all its later near frames at once.
+    ends_a, ends_b = [], []
+    for i in range(len(frames)):
+        partners = np.flatnonzero(near[i, i + 1 :]) + i + 1
+        if partners.size == 0:
             continue
-        seen: dict = {}
-        conflicted = set()
-        for fid, oi in obs:
-            if fid in seen:
-                conflicted.add(fid)
-            seen[fid] = oi
-        if conflicted:
-            obs = [(fid, oi) for fid, oi in obs if fid not in conflicted]
-        if len(obs) < 2:
-            continue
-        obs.sort()
-        tracks.append(Track(track_id=next_id, observations=obs))
-        next_id += 1
-    return tracks
+        starts = np.cumsum(counts[partners]) - counts[partners]
+        ia, jb = _mutual_matches(
+            frames[i].descriptors,
+            squared[i],
+            np.concatenate([frames[j].descriptors for j in partners]),
+            np.concatenate([squared[j] for j in partners]),
+            starts,
+            match_threshold,
+        )
+        ends_a.append(offsets[i] + ia)
+        # Row jb of the stack is observation jb - starts[k] of partner k.
+        k = np.searchsorted(starts, jb, side="right") - 1
+        ends_b.append(offsets[partners[k]] + jb - starts[k])
+    none = [np.empty(0, dtype=np.intp)]
+    ends_a, ends_b = np.concatenate(none + ends_a), np.concatenate(none + ends_b)
+    matches = sp.csr_matrix((np.ones(ends_a.shape[0]), (ends_a, ends_b)), shape=(total, total))
+    # Components are labelled in the order of their lowest observation.
+    _, component = connected_components(matches, directed=False)
+
+    # An observation's frame (position in frame_ids) and index within it.
+    frame_of = np.repeat(np.arange(len(frames)), counts)
+    index_of = np.arange(total) - np.repeat(offsets, counts)
+    fid_of = np.array(frame_ids)[frame_of]
+    # A frame seen twice in one component is evicted from it.
+    _, pair, seen = np.unique(component * len(frames) + frame_of, return_inverse=True, return_counts=True)
+    kept = seen[pair] == 1
+    kept &= np.bincount(component[kept], minlength=total)[component] >= 2
+    order = np.lexsort((index_of, fid_of, component))
+    order = order[kept[order]]
+    observations = list(zip(fid_of[order].tolist(), index_of[order].tolist()))
+    bounds = np.flatnonzero(np.diff(component[order], prepend=-1)).tolist() + [order.shape[0]]
+    return [Track(track_id=k, observations=observations[a:b]) for k, (a, b) in enumerate(zip(bounds[:-1], bounds[1:]))]

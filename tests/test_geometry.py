@@ -251,6 +251,44 @@ class TestRefinePose:
             assert not jac[12:14].any() and jac[:12].all()
         assert not np.array_equal(model.jacobian(a)[:12], model.jacobian(b)[:12])
 
+    @staticmethod
+    def gathered_rows(model, p):
+        """Residuals and Jacobian of a PoseModel, formed as bundle adjustment forms them.
+
+        The one camera is gathered once per point (camera index 0 for every
+        observation) through project_observations and observation_blocks.
+        """
+        rot, jr = so3.exp(p[:3])[None], so3.right_jacobian(p[:3])[None]
+        cams = np.zeros(len(model.points), dtype=int)
+        projection = reproject.project_observations(rot, p[None, 3:], model.points, cams, model.camera)
+        residuals = np.concatenate([
+            reproject.observation_residuals(projection, model.pixels).ravel(),
+            reproject.gravity_rows(rot, model.gravity, model.gravity_sqrtw).ravel(),
+        ])
+        jacobian = np.vstack([
+            reproject.observation_blocks(projection, rot, cams, jr).reshape(-1, 6),
+            reproject.gravity_rows(rot, model.gravity, model.gravity_sqrtw, jr)[0],
+        ])
+        return residuals, jacobian
+
+    def test_model_matches_gathered_reference(self):
+        # PoseModel projects its single camera without gathering it per point;
+        # that must not change its rows, behind-camera rows included.
+        pose, world, pix, gravity = self.scene(n=12)
+        world = np.vstack([world, pose.apply(np.array([0.5, -0.2, -4.0]))])
+        pix = np.vstack([pix, [320.0, 240.0]])
+        g_meas = (gravity / np.linalg.norm(gravity))[None]
+        rng = np.random.default_rng(11)
+        for _ in range(5):
+            model = reproject.PoseModel(world, pix, self.cam, g_meas, self.gravity_sqrtw)
+            p = pose.params() + np.concatenate([rng.normal(scale=0.05, size=3), rng.normal(scale=0.3, size=3)])
+            residuals, jacobian = self.gathered_rows(model, p)
+            assert np.array_equal(model.residuals(p)[24:26], [BEHIND_RESIDUAL, BEHIND_RESIDUAL])
+            assert not model.jacobian(p)[24:26].any()
+            for got, want in ((model.residuals(p), residuals), (model.jacobian(p), jacobian)):
+                assert got.shape == want.shape
+                assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
     def test_zero_noise_recovers_truth_from_perturbed_start(self):
         pose, world, pix, gravity = self.scene()
         rng = np.random.default_rng(9)

@@ -328,6 +328,38 @@ class TestBundleAdjustInternals:
         trials = len(result.cost_history) - 1 + result.rejected_steps
         assert result.linear_solves == len(factorisations) == trials + 1
 
+    def test_failed_landmark_inverse_raises_damping(self, monkeypatch):
+        # A landmark block whose determinant is not positive fails the step
+        # like a failed factorisation: the damping rises and the solve goes on.
+        inversions = []
+        symmetric_inverse = least_squares._symmetric_inverse
+
+        def failing_inverse(v):
+            inversions.append(v.shape)
+            if len(inversions) == 1:
+                v = v.copy()
+                v[0] = 0.0
+            return symmetric_inverse(v)
+
+        monkeypatch.setattr(least_squares, "_symmetric_inverse", failing_inverse)
+        poses, points, tracks_by_id, frames_by_id = self.truth_started_street(150.0)
+        _, _, result, rmse = bundle_adjust(poses, points, tracks_by_id, frames_by_id, CAMERA)
+        assert result.converged and rmse < 1e-8
+        trials = len(result.cost_history) - 1 + result.rejected_steps
+        assert result.linear_solves == len(inversions) == trials + 1
+
+    def test_landmark_columns_are_minus_translation_columns(self):
+        problem, x = self.make_problem(behind_camera=True)
+        jac = problem.jacobian(x)
+        dense = jac.toarray()
+        st = jac.structure
+        for k, (cam, land) in enumerate(zip(st.obs_cam, st.obs_land)):
+            rows = dense[2 * k : 2 * k + 2]
+            assert np.array_equal(rows[:, 6 * cam : 6 * cam + 6], jac.cam[k])
+            landmark = 6 * st.n_cams + 3 * land
+            assert np.array_equal(rows[:, landmark : landmark + 3], -jac.cam[k][:, 3:])
+            assert np.count_nonzero(rows) == np.count_nonzero(jac.cam[k]) + np.count_nonzero(jac.cam[k][:, 3:])
+
     def test_cost_history_non_increasing(self):
         world = street_world(length=80.0)
         exp = simulate_experience(world, ["main"], experience_id=1,

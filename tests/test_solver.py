@@ -159,3 +159,24 @@ def test_dense_step_raises_on_a_non_positive_definite_system(n, seed):
         scipy.linalg.cho_factor(normal.hess + np.diag(1e-6 * normal.diag))
     with pytest.raises(np.linalg.LinAlgError):
         normal.step(1e-6)
+
+
+@given(st.integers(1, 40), seeds, st.floats(-6.0, 6.0))
+@settings(max_examples=100, deadline=None)
+def test_landmark_inverse_matches_lapack(n, seed, log_scale):
+    # Bundle adjustment inverts its damped 3x3 landmark blocks in closed form.
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=(n, 3, 3))
+    blocks = (a @ a.transpose(0, 2, 1) + 0.1 * np.eye(3)) * 10.0**log_scale
+    expected = np.linalg.inv(blocks)
+    inverse = least_squares._symmetric_inverse(blocks)
+    assert np.all(np.abs(inverse - expected) <= 1e-12 * np.abs(expected).max(axis=(1, 2), keepdims=True))
+
+
+@pytest.mark.parametrize("singular", [np.zeros((3, 3)), np.diag([2.0, 1.0, 0.0]), -np.eye(3)])
+def test_landmark_inverse_raises_unless_every_determinant_is_positive(singular):
+    # LinAlgError is what makes the solver raise the damping and retry.
+    blocks = np.repeat(np.eye(3)[None], 4, axis=0)
+    blocks[2] = singular
+    with pytest.raises(np.linalg.LinAlgError):
+        least_squares._symmetric_inverse(blocks)
