@@ -28,6 +28,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.sparse as sp
+from scipy.sparse.csgraph import connected_components
 
 from .geometry import Pose, Sim3, batch_skew, so3, solve_least_squares, umeyama
 from .mapbuild.sfm import gps_weight
@@ -92,34 +94,20 @@ def collect_links(submaps) -> list:
     ]
 
 
-class _UnionFind:
-    def __init__(self, n):
-        self.parent = list(range(n))
-
-    def find(self, a):
-        while self.parent[a] != a:
-            self.parent[a] = self.parent[self.parent[a]]
-            a = self.parent[a]
-        return a
-
-    def union(self, a, b):
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[max(ra, rb)] = min(ra, rb)
-
-
 def link_components(submap_ids, links) -> list:
     """Connected components of the link graph as sorted id tuples, in id order."""
     ids = sorted(submap_ids)
     index = {sid: i for i, sid in enumerate(ids)}
-    uf = _UnionFind(len(ids))
+    heads, tails = [], []
     for link in links:
         members = [index[sid] for sid, _ in link.entries if sid in index]
-        for m in members[1:]:
-            uf.union(members[0], m)
+        heads += members[:1] * (len(members) - 1)
+        tails += members[1:]
+    graph = sp.coo_matrix((np.ones(len(heads)), (heads, tails)), shape=(len(ids), len(ids)))
+    _, labels = connected_components(graph, directed=False)
     groups: dict = {}
-    for sid in ids:
-        groups.setdefault(uf.find(index[sid]), []).append(sid)
+    for sid, label in zip(ids, labels.tolist()):
+        groups.setdefault(label, []).append(sid)
     return [tuple(g) for g in groups.values()]
 
 

@@ -33,6 +33,8 @@ no number.
 
 from __future__ import annotations
 
+import weakref
+
 import numpy as np
 
 from . import so3
@@ -118,20 +120,23 @@ def gravity_rows(rots, gravity, sqrtw: float, jrs=None):
 
 
 class LastEvaluation:
-    """`fn` of a parameter vector, kept for the last vector it was called with.
+    """`fn`, a bound method, of a parameter vector, kept for the last vector it was called with.
 
     The key is the vector's exact bytes, so a call at any other vector runs
-    `fn` afresh and the reuse changes no number.
+    `fn` afresh and the reuse changes no number. The method's owner holds
+    this cache, so the cache holds the method weakly: a strong reference
+    would make a cycle, and the owner's arrays would then live until the
+    garbage collector's next pass instead of being freed with it.
     """
 
     def __init__(self, fn):
-        self._fn = fn
+        self._fn = weakref.WeakMethod(fn)
         self._key = self._value = None
 
     def __call__(self, x):
         key = x.tobytes()
         if key != self._key:
-            self._value = self._fn(x)
+            self._value = self._fn()(x)
             self._key = key
         return self._value
 

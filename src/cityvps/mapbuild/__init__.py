@@ -3,12 +3,12 @@
 from .sfm import build_submap, bundle_adjust
 from .split import (
     DEFAULT_MAX_SIZE,
-    DEFAULT_MIN_RADIUS,
-    DEFAULT_OVERLAP,
+    MIN_RADIUS,
+    OVERLAP,
     augment_subsets,
     split_experience,
 )
-from .tracks import DEFAULT_GATING_RADIUS, DEFAULT_MATCH_THRESHOLD, build_tracks
+from .tracks import DEFAULT_MATCH_THRESHOLD, GATING_RADIUS, build_tracks
 from .types import (
     FrameSubset,
     InsufficientOverlap,
@@ -25,11 +25,11 @@ __all__ = [
     "split_experience",
     "augment_subsets",
     "DEFAULT_MAX_SIZE",
-    "DEFAULT_MIN_RADIUS",
-    "DEFAULT_OVERLAP",
+    "MIN_RADIUS",
+    "OVERLAP",
     "build_tracks",
     "DEFAULT_MATCH_THRESHOLD",
-    "DEFAULT_GATING_RADIUS",
+    "GATING_RADIUS",
     "FrameSubset",
     "Track",
     "Submap",

@@ -8,6 +8,14 @@ robust single-pose solve; (4) re-triangulating everything and running a
 full bundle adjustment that jointly minimizes robust reprojection error and
 the GPS prior on camera positions.
 
+The subset's tracks are flattened once into an `Observations` table: per
+observation its track, frame, index in the frame and pixel, track by track
+in ascending id. Every stage selects its rows by mask, with `of(track_ids)`
+and `seen_from(poses)`: the seed pair's shared-track counts, each frame's
+candidate matches, the tracks to triangulate and the observations bundle
+adjustment holds. The build is therefore a function of the set of tracks,
+not of their list order.
+
 Triangulation, in (2), (4) and after each registration and bundle
 adjustment, is one batched midpoint solve per call over all the tracks it is
 given (`triangulate_tracks`), not one solve per track.
@@ -19,6 +27,7 @@ is `gps_weight`, the rule fusion applies to the same fixes.
 from __future__ import annotations
 
 import numpy as np
+import scipy.sparse as sp
 
 from ..geometry import (
     BEHIND_RESIDUAL,
@@ -163,29 +172,62 @@ def _solve_each(a, b):
         return x, solved
 
 
-def triangulate_tracks(tracks, poses: dict, frames_by_id: dict, camera: Camera) -> dict:
-    """{track_id: midpoint} of the given tracks, by one batched solve.
+class Observations:
+    """A subset's track observations as one table, flattened once per build.
 
-    Only observations in registered frames (`poses`) count. Tracks with
-    fewer than two of them, or rejected by `triangulate_midpoints`, are
-    left out. Each frame's rotation is computed once and all rays come from
-    one `Camera.rays` call.
+    Row k is observation ``index[k]`` of frame ``frame[k]``, at pixel
+    ``pixel[k]``, in track ``track[k]``. Rows run track by track in
+    ascending id, each track's in the order of its observations.
+    Observations of frames outside `frames_by_id` are left out.
     """
-    track_ids, starts, observed = [], [], []
-    for track in tracks:
-        registered = [(fid, oi) for fid, oi in track.observations if fid in poses]
-        if len(registered) < 2:
-            continue
-        track_ids.append(track.track_id)
-        starts.append(len(observed))
-        observed.extend(registered)
-    if not track_ids:
+
+    def __init__(self, tracks, frames_by_id: dict):
+        rows = [
+            (track.track_id, fid, oi)
+            for track in sorted(tracks, key=lambda t: t.track_id)
+            for fid, oi in track.observations
+            if fid in frames_by_id
+        ]
+        self.track, self.frame, self.index = np.array(rows, dtype=int).reshape(-1, 3).T.copy()
+        self.pixel = np.array([frames_by_id[fid].pixels[oi] for _, fid, oi in rows]).reshape(-1, 2)
+
+    def of(self, track_ids):
+        """Mask of the rows of the given tracks."""
+        return np.isin(self.track, list(track_ids))
+
+    def seen_from(self, poses):
+        """Mask of the rows in the frames of `poses`."""
+        return np.isin(self.frame, list(poses))
+
+
+def _registered_rows(obs: Observations, rows, poses: dict):
+    """Indices of the `rows` (a mask) in registered frames, of tracks with at least two of them."""
+    rows = np.flatnonzero(rows & obs.seen_from(poses))
+    _, counts = np.unique(obs.track[rows], return_counts=True)
+    return rows[np.repeat(counts >= 2, counts)]
+
+
+def _frame_geometry(obs: Observations, rows, poses: dict):
+    """Rotations and positions of the frames of `rows`, and each row's position among them."""
+    fids, cams = np.unique(obs.frame[rows], return_inverse=True)
+    fids = fids.tolist()
+    return np.array([poses[f].rotation for f in fids]), np.array([poses[f].t for f in fids]), cams
+
+
+def triangulate_tracks(obs: Observations, rows, poses: dict, camera: Camera) -> dict:
+    """{track_id: midpoint} of the tracks of `rows` (a mask of `obs`), by one batched solve.
+
+    Only rows in registered frames (`poses`) count. Tracks with fewer than
+    two of them, or rejected by `triangulate_midpoints`, are left out. Each
+    frame's rotation is computed once and all rays come from one
+    `Camera.rays` call.
+    """
+    rows = _registered_rows(obs, rows, poses)
+    if rows.size == 0:
         return {}
-    column = {fid: k for k, fid in enumerate(dict.fromkeys(fid for fid, _ in observed))}
-    rots = np.array([poses[fid].rotation for fid in column])
-    ts = np.array([poses[fid].t for fid in column])
-    cams = np.array([column[fid] for fid, _ in observed])
-    rays = camera.rays(np.array([frames_by_id[fid].pixels[oi] for fid, oi in observed]))
+    track_ids, starts = np.unique(obs.track[rows], return_index=True)
+    rots, ts, cams = _frame_geometry(obs, rows, poses)
+    rays = camera.rays(obs.pixel[rows])
     points, ok = triangulate_midpoints(
         ts[cams],
         np.einsum("kij,kj->ki", rots[cams], rays),
@@ -193,17 +235,18 @@ def triangulate_tracks(tracks, poses: dict, frames_by_id: dict, camera: Camera) 
         MIN_TRIANGULATION_ANGLE_DEG,
         MIN_TRIANGULATION_DEPTH,
     )
-    return {tid: points[k] for k, tid in enumerate(track_ids) if ok[k]}
+    return dict(zip(track_ids[ok].tolist(), points[ok]))
 
 
 def triangulate_track(track: Track, poses: dict, frames_by_id: dict, camera: Camera):
-    """Midpoint of one track's registered rays, or None: `triangulate_tracks` of one track.
+    """Midpoint of one track's registered rays, or None: `triangulate_tracks` of a one-track table.
 
     The pipeline batches its tracks and does not call this. It is kept
     because the benchmark's traced run (``perfbench/tracing.py``) rebinds
     ``sfm.triangulate_track`` by name and fails without it.
     """
-    return triangulate_tracks([track], poses, frames_by_id, camera).get(track.track_id)
+    obs = Observations([track], frames_by_id)
+    return triangulate_tracks(obs, obs.seen_from(poses), poses, camera).get(track.track_id)
 
 
 # ---------------------------------------------------------------------------
@@ -211,16 +254,14 @@ def triangulate_track(track: Track, poses: dict, frames_by_id: dict, camera: Cam
 
 
 class _BAProblem:
-    def __init__(self, frame_ids, track_ids, observations, gps, gps_weights, camera: Camera,
-                 gravity_meas, gravity_sqrtw: float):
+    def __init__(self, frame_ids, track_ids, obs_frames, obs_tracks, obs_pixels, gps, gps_weights,
+                 camera: Camera, gravity_meas, gravity_sqrtw: float):
         self.frame_ids = list(frame_ids)  # sorted
         self.track_ids = list(track_ids)  # sorted
-        self.fidx = {fid: i for i, fid in enumerate(self.frame_ids)}
-        self.lidx = {tid: i for i, tid in enumerate(self.track_ids)}
-        # observations: (frame_id, track_id, pixel)
-        self.obs_f = np.array([self.fidx[fid] for fid, _, _ in observations], dtype=int)
-        self.obs_l = np.array([self.lidx[tid] for _, tid, _ in observations], dtype=int)
-        self.obs_px = np.array([px for _, _, px in observations], dtype=float)
+        # Observation k is pixel obs_pixels[k] of track obs_tracks[k] in frame obs_frames[k].
+        self.obs_f = np.searchsorted(self.frame_ids, obs_frames)
+        self.obs_l = np.searchsorted(self.track_ids, obs_tracks)
+        self.obs_px = np.asarray(obs_pixels, dtype=float).reshape(-1, 2)
         self.gps = np.asarray(gps, dtype=float)  # (F, 3)
         self.gps_sqrtw = np.sqrt(np.asarray(gps_weights, dtype=float))  # (F,)
         self.camera = camera
@@ -272,27 +313,23 @@ class _BAProblem:
         return BlockJacobian(self.structure, cam, [gps, gravity])
 
 
-def bundle_adjust(poses, points, tracks_by_id, frames_by_id, camera, max_iterations=None):
+def bundle_adjust(poses, points, obs: Observations, frames_by_id, camera, max_iterations=None):
     """Joint robust reprojection + GPS-prior refinement of poses and points.
 
-    Runs at most `max_iterations` LM iterations, ``BA_MAX_ITERATIONS`` when
-    None. Returns (poses, points, SolveResult, rmse) where rmse is over
-    valid (in-front) observations after optimization.
+    Adjusts the rows of `obs` that lie in the frames of `poses` and belong
+    to the tracks of `points`. Runs at most `max_iterations` LM
+    iterations, ``BA_MAX_ITERATIONS`` when None. Returns (poses, points,
+    SolveResult, rmse) where rmse is over valid (in-front) observations
+    after optimization.
     """
     frame_ids = sorted(poses)
-    track_ids = sorted(points)
-    observations = [
-        (fid, tid, frames_by_id[fid].pixels[oi])
-        for tid in track_ids
-        for fid, oi in tracks_by_id[tid].observations
-        if fid in poses
-    ]
+    rows = obs.seen_from(poses) & obs.of(points)
     gps = np.array([frames_by_id[fid].gps[:3] for fid in frame_ids])
     weights = np.array([gps_weight(frames_by_id[fid].gps[3]) for fid in frame_ids])
     gravity = np.array([frames_by_id[fid].ins_gravity for fid in frame_ids])
     gravity = gravity / np.linalg.norm(gravity, axis=1, keepdims=True)
-    problem = _BAProblem(frame_ids, track_ids, observations, gps, weights, camera,
-                         gravity_meas=gravity, gravity_sqrtw=1.0 / np.deg2rad(GRAVITY_SIGMA_DEG))
+    problem = _BAProblem(frame_ids, sorted(points), obs.frame[rows], obs.track[rows], obs.pixel[rows], gps,
+                         weights, camera, gravity_meas=gravity, gravity_sqrtw=1.0 / np.deg2rad(GRAVITY_SIGMA_DEG))
     robust = RobustPrefix(n_blocks=problem.nobs, block_size=2, delta=HUBER_DELTA_PX)
     result = solve_least_squares(
         problem.residuals,
@@ -317,56 +354,46 @@ def _yaw_candidates(n: int):
     return [2.0 * np.pi * k / n for k in range(n)]
 
 
-def _matches_for_frame(frame_id, frames_by_id, frame_tracks, points):
-    pts = []
-    pix = []
-    for tid, oi in frame_tracks.get(frame_id, []):
-        if tid in points:
-            pts.append(points[tid])
-            pix.append(frames_by_id[frame_id].pixels[oi])
-    if not pts:
-        return np.zeros((0, 3)), np.zeros((0, 2))
-    return np.array(pts), np.array(pix)
-
-
-def _triangulate_solvable(candidates, points: dict, poses, frames_by_id, camera):
-    """Add to `points` each candidate track that has no point yet and triangulates from its registered observations."""
-    unsolved = [track for track in candidates if track.track_id not in points]
-    points.update(triangulate_tracks(unsolved, poses, frames_by_id, camera))
-
-
-def _window_score(poses: dict, tracks, frames_by_id, camera):
+def _window_score(poses: dict, obs: Observations, camera):
     """Triangulate every track visible from >= 2 of the given poses and
     score mean reprojection over those tracks' window observations.
 
     Tracks that fail to triangulate count as a large error so hypotheses
     cannot win by explaining away most of the evidence.
     """
-    fids = list(poses)
-    fidx = {fid: i for i, fid in enumerate(fids)}
-    points = triangulate_tracks(tracks, poses, frames_by_id, camera)
-    solved = []  # per window observation: did its track triangulate
-    cams, world, pixels = [], [], []
-    for track in tracks:
-        in_window = [(f, oi) for f, oi in track.observations if f in poses]
-        if len(in_window) < 2:
-            continue
-        x = points.get(track.track_id)
-        solved.extend([x is not None] * len(in_window))
-        if x is None:
-            continue
-        for f, oi in in_window:
-            cams.append(fidx[f])
-            world.append(x)
-            pixels.append(frames_by_id[f].pixels[oi])
+    window = obs.seen_from(poses)
+    points = triangulate_tracks(obs, window, poses, camera)
     if not points:
         return None, float("inf")
-    rots = np.array([poses[f].rotation for f in fids])
-    ts = np.array([poses[f].t for f in fids])
-    r = reprojection_rows(rots, ts, np.array(world), np.array(cams), np.array(pixels), camera)
-    errors = np.full(len(solved), BEHIND_RESIDUAL)
-    errors[np.array(solved)] = np.minimum(np.linalg.norm(r, axis=1), BEHIND_RESIDUAL)
+    rows = _registered_rows(obs, window, poses)
+    solved = obs.of(points)[rows]
+    rows = rows[solved]
+    rots, ts, cams = _frame_geometry(obs, rows, poses)
+    world = np.array([points[tid] for tid in obs.track[rows].tolist()])
+    r = reprojection_rows(rots, ts, world, cams, obs.pixel[rows], camera)
+    errors = np.full(solved.size, BEHIND_RESIDUAL)
+    errors[solved] = np.minimum(np.linalg.norm(r, axis=1), BEHIND_RESIDUAL)
     return points, float(np.mean(errors))
+
+
+def _seed_pair(obs: Observations, frames_by_id: dict):
+    """(frame a, frame b, shared tracks) of the pair a < b sharing the most tracks.
+
+    Ties go to a pair within one experience, then to the lowest ids. The
+    counts are the upper triangle of AᵀA, with A the incidence of tracks on
+    frames.
+    """
+    fids, cols = np.unique(obs.frame, return_inverse=True)
+    tids, rows = np.unique(obs.track, return_inverse=True)
+    incidence = sp.csr_matrix((np.ones(rows.size, dtype=int), (rows, cols)), shape=(tids.size, fids.size))
+    shared = sp.triu(incidence.T @ incidence, k=1).tocoo()
+    if shared.nnz == 0:
+        raise InsufficientOverlap("no shared tracks")
+    experience = np.array([frames_by_id[fid].experience_id for fid in fids.tolist()])
+    fa, fb = fids[shared.row], fids[shared.col]
+    same_exp = experience[shared.row] == experience[shared.col]
+    best = np.lexsort((-fb, -fa, same_exp, shared.data))[-1]
+    return int(fa[best]), int(fb[best]), int(shared.data[best])
 
 
 def build_submap(
@@ -384,30 +411,8 @@ def build_submap(
     frame_ids = [fid for fid in subset.all_ids() if fid in frames_by_id]
     if len(frame_ids) < 2:
         raise InsufficientOverlap("need at least two frames")
-    tracks_by_id = {t.track_id: t for t in tracks}
-    # frame id -> [(track_id, observation_index)] for covisibility lookups.
-    frame_tracks: dict = {}
-    for track in tracks:
-        for fid, oi in track.observations:
-            frame_tracks.setdefault(fid, []).append((track.track_id, oi))
-
-    # Shared-track counts per frame pair.
-    pair_counts: dict = {}
-    for track in tracks:
-        fids = [fid for fid, _ in track.observations]
-        for i in range(len(fids)):
-            for j in range(i + 1, len(fids)):
-                key = (min(fids[i], fids[j]), max(fids[i], fids[j]))
-                pair_counts[key] = pair_counts.get(key, 0) + 1
-    if not pair_counts:
-        raise InsufficientOverlap("no shared tracks")
-
-    def pair_rank(item):
-        (fa, fb), count = item
-        same_exp = frames_by_id[fa].experience_id == frames_by_id[fb].experience_id
-        return (count, same_exp, -fa, -fb)
-
-    (seed_a, seed_b), best_count = max(pair_counts.items(), key=pair_rank)
+    obs = Observations(tracks, frames_by_id)
+    seed_a, seed_b, best_count = _seed_pair(obs, frames_by_id)
     if best_count < MIN_SEED_SHARED_TRACKS:
         raise InsufficientOverlap(f"best pair shares {best_count} tracks")
 
@@ -450,7 +455,7 @@ def build_submap(
             else:
                 continue
             hyp_poses[fid] = Pose.from_matrix(rot, f.gps[:3])
-        points, score = _window_score(hyp_poses, tracks, frames_by_id, camera)
+        points, score = _window_score(hyp_poses, obs, camera)
         if points is not None and len(points) >= 4:
             candidates.append((score, psi, hyp_poses, points))
     candidates.sort(key=lambda c: c[0])
@@ -463,50 +468,52 @@ def build_submap(
     for score, psi, hyp_poses, points in candidates[:3]:
         try:
             ref_poses, ref_points, _, _ = bundle_adjust(
-                hyp_poses, points, tracks_by_id, frames_by_id, camera, max_iterations=20
+                hyp_poses, points, obs, frames_by_id, camera, max_iterations=20
             )
         except NonFinite as exc:
             failures.append(f"yaw {np.degrees(psi):.0f} deg: {exc}")
             continue
-        ref_points, cost = _window_score(ref_poses, tracks, frames_by_id, camera)
+        ref_points, cost = _window_score(ref_poses, obs, camera)
         if best is None or cost < best[0]:
             best = (cost, ref_poses, ref_points)
     if best is None:
         raise InsufficientOverlap("seed refinement failed: " + "; ".join(failures))
 
     _, poses, points = best
-    poses, points, result, _ = bundle_adjust(
-        poses, points, tracks_by_id, frames_by_id, camera, max_iterations=30
-    )
+    poses, points, result, _ = bundle_adjust(poses, points, obs, frames_by_id, camera, max_iterations=30)
 
     failed: dict = {}  # frame id -> match count when registration last failed
     since_ba = 0
     gravity_sqrtw = 1.0 / np.deg2rad(GRAVITY_SIGMA_DEG)
+    subset_frames = set(frame_ids)
     while True:
         # Next frame: most observations of already-triangulated tracks.
         # Failed frames become eligible again once they can see more points.
-        candidates = []
-        for fid in frame_ids:
-            if fid in poses:
-                continue
-            count = sum(1 for tid, _ in frame_tracks.get(fid, []) if tid in points)
-            if count >= MIN_REGISTER_MATCHES and count > failed.get(fid, -1):
-                candidates.append((count, -fid))
+        with_point = obs.of(points)
+        fids, counts = np.unique(obs.frame[with_point], return_counts=True)
+        candidates = [
+            (count, -fid)
+            for fid, count in zip(fids.tolist(), counts.tolist())
+            if fid in subset_frames and fid not in poses
+            and count >= MIN_REGISTER_MATCHES and count > failed.get(fid, -1)
+        ]
         if not candidates:
             break
         count, neg_fid = max(candidates)
         fid = -neg_fid
         frame = frames_by_id[fid]
-        pts3d, pix = _matches_for_frame(fid, frames_by_id, frame_tracks, points)
+        matches = with_point & (obs.frame == fid)
+        pts3d = np.array([points[tid] for tid in obs.track[matches].tolist()])
+        pix = obs.pixel[matches]
 
         # Initial rotation: INS chain from the nearest registered frame of the
         # same experience, else gravity + yaw grid scored on reprojection.
         chain = chains[frame.experience_id]
-        ref = None
-        for other in sorted(poses, key=lambda o: abs(frames_by_id[o].timestamp - frame.timestamp)):
-            if frames_by_id[other].experience_id == frame.experience_id:
-                ref = other
-                break
+        ref = min(
+            (other for other in poses if frames_by_id[other].experience_id == frame.experience_id),
+            key=lambda other: abs(frames_by_id[other].timestamp - frame.timestamp),
+            default=None,
+        )
         inits = []
         if ref is not None:
             rot = poses[ref].rotation @ (chain[ref].T @ chain[fid])
@@ -533,21 +540,18 @@ def build_submap(
         since_ba += 1
 
         # Only tracks observing the new frame can have become solvable.
-        new_tracks = (tracks_by_id[tid] for tid, _ in frame_tracks.get(fid, []))
-        _triangulate_solvable(new_tracks, points, poses, frames_by_id, camera)
+        new_tracks = obs.of(obs.track[obs.frame == fid]) & ~obs.of(points)
+        points.update(triangulate_tracks(obs, new_tracks, poses, camera))
         if early or since_ba >= PERIODIC_BA_EVERY:
-            poses, points, _, _ = bundle_adjust(
-                poses, points, tracks_by_id, frames_by_id, camera, max_iterations=15
-            )
+            poses, points, _, _ = bundle_adjust(poses, points, obs, frames_by_id, camera, max_iterations=15)
             # Cleaner geometry: re-triangulate everything solvable and give
             # previously failed frames another chance.
-            _triangulate_solvable(tracks, points, poses, frames_by_id, camera)
+            points.update(triangulate_tracks(obs, ~obs.of(points), poses, camera))
             failed.clear()
             since_ba = 0
 
     # Re-triangulate everything from the final incremental poses.
-    points = {}
-    _triangulate_solvable(tracks, points, poses, frames_by_id, camera)
+    points = triangulate_tracks(obs, obs.seen_from(poses), poses, camera)
 
     discard_reasons = []
     if len(points) < MIN_LANDMARKS:
@@ -555,7 +559,7 @@ def build_submap(
         rmse = float("inf")
         final_cost = float("inf")
     else:
-        poses, points, result, rmse = bundle_adjust(poses, points, tracks_by_id, frames_by_id, camera)
+        poses, points, result, rmse = bundle_adjust(poses, points, obs, frames_by_id, camera)
         final_cost = result.cost
         if not result.converged:
             discard_reasons.append("bundle adjustment diverged")
@@ -571,19 +575,14 @@ def build_submap(
     track_ids = sorted(points)
     descriptors = []
     track_observations = {}
-    for tid in track_ids:
-        track = tracks_by_id[tid]
-        descs = [
-            frames_by_id[f].descriptors[oi]
-            for f, oi in track.observations
-            if f in frames_by_id
-        ]
+    seen = obs.seen_from(poses)
+    # Each track's rows are the slice a:b of the table.
+    starts, ends = np.searchsorted(obs.track, track_ids), np.searchsorted(obs.track, track_ids, "right")
+    for tid, a, b in zip(track_ids, starts, ends):
+        descs = [frames_by_id[f].descriptors[oi] for f, oi in zip(obs.frame[a:b].tolist(), obs.index[a:b].tolist())]
         descriptors.append(np.mean(descs, axis=0))
-        track_observations[tid] = [
-            (f, frames_by_id[f].pixels[oi].copy())
-            for f, oi in track.observations
-            if f in poses
-        ]
+        kept = np.flatnonzero(seen[a:b]) + a
+        track_observations[tid] = list(zip(obs.frame[kept].tolist(), obs.pixel[kept]))
 
     return Submap(
         submap_id=subset.subset_id,

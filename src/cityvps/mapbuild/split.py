@@ -2,11 +2,11 @@
 
 Frames are swept in capture order over their 2D GPS positions. A subset
 grows until it holds `max_size` frames; if its GPS span is still below the
-minimum radius at that point, the sweep keeps extending the region and the
-members are randomly sub-sampled back down to `max_size`. Each new subset
-starts at the frame `overlap` meters before the previous subset's boundary:
-those overlap frames are carried as augmented (borrowed) frames so member
-lists stay a partition of the experience.
+minimum radius ``MIN_RADIUS`` at that point, the sweep keeps extending the
+region and the members are randomly sub-sampled back down to `max_size`.
+Each new subset starts at the previous subset's boundary; the frames within
+``OVERLAP`` meters before it are carried as augmented (borrowed) frames, so
+member lists stay a partition of the experience.
 """
 
 from __future__ import annotations
@@ -16,8 +16,8 @@ import numpy as np
 from .types import FrameSubset
 
 DEFAULT_MAX_SIZE = 1000
-DEFAULT_MIN_RADIUS = 20.0
-DEFAULT_OVERLAP = 20.0
+MIN_RADIUS = 20.0  # m
+OVERLAP = 20.0  # m
 
 
 def _circle(points: np.ndarray):
@@ -30,8 +30,6 @@ def _circle(points: np.ndarray):
 def split_experience(
     experience,
     max_size: int = DEFAULT_MAX_SIZE,
-    min_radius: float = DEFAULT_MIN_RADIUS,
-    overlap: float = DEFAULT_OVERLAP,
     seed: int = 0,
     subset_id_base: int = 0,
 ) -> list:
@@ -55,7 +53,7 @@ def split_experience(
         # Keep extending the region until the minimum radius is met (the
         # experience may simply be shorter).
         _, radius = _circle(gps[start:end])
-        while end < n and radius < min_radius:
+        while end < n and radius < MIN_RADIUS:
             end += 1
             _, radius = _circle(gps[start:end])
         span = end - start
@@ -77,12 +75,12 @@ def split_experience(
         )
         if end >= n:
             break
-        # Next subset starts right at the boundary; frames within `overlap`
+        # Next subset starts right at the boundary; frames within OVERLAP
         # meters before it ride along as augmented frames.
         boundary = gps[end - 1]
         k = end - 1
         overlap_ids = []
-        while k >= start and np.linalg.norm(gps[k] - boundary) <= overlap:
+        while k >= start and np.linalg.norm(gps[k] - boundary) <= OVERLAP:
             overlap_ids.append(ids[k])
             k -= 1
         prev_overlap_ids = list(reversed(overlap_ids))

@@ -9,7 +9,7 @@ from scipy.sparse.csgraph import connected_components
 from .types import Track
 
 DEFAULT_MATCH_THRESHOLD = 0.24  # 3x default descriptor noise scale
-DEFAULT_GATING_RADIUS = 60.0
+GATING_RADIUS = 60.0  # m
 
 
 def _mutual_matches(desc_a, sq_a, desc_b, sq_b, starts, threshold: float):
@@ -37,12 +37,11 @@ def build_tracks(
     subset,
     frames_by_id: dict,
     match_threshold: float = DEFAULT_MATCH_THRESHOLD,
-    gating_radius: float = DEFAULT_GATING_RADIUS,
 ) -> list:
     """Match descriptors between nearby frames and chain them into tracks.
 
-    Frame pairs are matched only when their GPS distance is below the gating
-    radius. Components that end up with two observations in one frame are
+    Frame pairs are matched only when their GPS distance is below
+    ``GATING_RADIUS``. Components that end up with two observations in one frame are
     inconsistent; the offending frame's observations are evicted and the
     remainder kept when it still spans two frames. Tracks come in the order
     of their components' first observations (subset frame order, then
@@ -57,7 +56,7 @@ def build_tracks(
         return []
     squared = [(frame.descriptors * frame.descriptors).sum(axis=1) for frame in frames]
     positions = np.array([frame.gps[:2] for frame in frames])
-    near = np.linalg.norm(positions[:, None] - positions[None], axis=2) < gating_radius
+    near = np.linalg.norm(positions[:, None] - positions[None], axis=2) < GATING_RADIUS
     near &= (counts > 0)[:, None] & (counts > 0)[None, :]
     # Each frame is matched against all its later near frames at once.
     ends_a, ends_b = [], []

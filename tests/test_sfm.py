@@ -1,6 +1,9 @@
 """Submap reconstruction: zero-noise fixed points, noise, corruption."""
 
+import gc
 import tracemalloc
+import weakref
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -32,7 +35,7 @@ from cityvps.mapbuild import (
     verify_submap,
 )
 from cityvps.mapbuild import sfm
-from cityvps.mapbuild.sfm import _BAProblem, gps_weight, triangulate_midpoints
+from cityvps.mapbuild.sfm import Observations, _BAProblem, gps_weight, triangulate_midpoints
 from cityvps.worldsim import (
     NoiseConfig,
     SimConfig,
@@ -165,7 +168,7 @@ class TestBundleAdjustInternals:
             observations.append((0, n_points, rng.uniform(0, 500, size=2)))
             track_ids.append(n_points)
             x = np.concatenate([x, x[3:6] - 5.0 * so3.exp(x[:3])[:, 2]])
-        problem = _BAProblem(frame_ids, track_ids, observations, gps,
+        problem = _BAProblem(frame_ids, track_ids, *map(np.array, zip(*observations)), gps,
                              np.full(n_frames, 0.04), CAMERA,
                              gravity_meas=gravity, gravity_sqrtw=5.0)
         return problem, x
@@ -235,7 +238,8 @@ class TestBundleAdjustInternals:
         track_ids = sorted(lid for lid, fids in seen.items() if len(fids) >= 2)
         observations = [o for o in observations if len(seen[o[1]]) >= 2]
         frame_ids = sorted(f.frame_id for f in frames)
-        problem = _BAProblem(frame_ids, track_ids, observations, np.array([f.gps[:3] for f in frames]),
+        problem = _BAProblem(frame_ids, track_ids, *map(np.array, zip(*observations)),
+                             np.array([f.gps[:3] for f in frames]),
                              np.full(len(frames), 0.04), CAMERA,
                              gravity_meas=np.array([f.ins_gravity for f in frames]), gravity_sqrtw=5.0)
         position = {fid: k for k, fid in enumerate(frame_ids)}
@@ -278,9 +282,10 @@ class TestBundleAdjustInternals:
     @staticmethod
     def traced_bundle_adjust(poses, points, tracks_by_id, frames_by_id):
         """bundle_adjust's result and RMSE, and the peak of memory traced while it ran."""
+        obs = Observations(tracks_by_id.values(), frames_by_id)
         tracemalloc.start()
         try:
-            _, _, result, rmse = bundle_adjust(poses, points, tracks_by_id, frames_by_id, CAMERA)
+            _, _, result, rmse = bundle_adjust(poses, points, obs, frames_by_id, CAMERA)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -323,7 +328,8 @@ class TestBundleAdjustInternals:
 
         monkeypatch.setattr(least_squares, "cholesky_banded", cholesky_banded)
         poses, points, tracks_by_id, frames_by_id = self.truth_started_street(150.0)
-        _, _, result, rmse = bundle_adjust(poses, points, tracks_by_id, frames_by_id, CAMERA)
+        obs = Observations(tracks_by_id.values(), frames_by_id)
+        _, _, result, rmse = bundle_adjust(poses, points, obs, frames_by_id, CAMERA)
         assert result.converged and rmse < 1e-8
         trials = len(result.cost_history) - 1 + result.rejected_steps
         assert result.linear_solves == len(factorisations) == trials + 1
@@ -343,7 +349,8 @@ class TestBundleAdjustInternals:
 
         monkeypatch.setattr(least_squares, "_symmetric_inverse", failing_inverse)
         poses, points, tracks_by_id, frames_by_id = self.truth_started_street(150.0)
-        _, _, result, rmse = bundle_adjust(poses, points, tracks_by_id, frames_by_id, CAMERA)
+        obs = Observations(tracks_by_id.values(), frames_by_id)
+        _, _, result, rmse = bundle_adjust(poses, points, obs, frames_by_id, CAMERA)
         assert result.converged and rmse < 1e-8
         trials = len(result.cost_history) - 1 + result.rejected_steps
         assert result.linear_solves == len(inversions) == trials + 1
@@ -371,10 +378,10 @@ class TestBundleAdjustInternals:
         submap = build_submap(subset, tracks, frames_by_id, CAMERA)
         # Re-run the final optimization to inspect its cost trace.
         poses = dict(submap.poses)
-        tracks_by_id = {t.track_id: t for t in tracks}
         points = {int(tid): submap.landmark_positions[i]
                   for i, tid in enumerate(submap.landmark_track_ids)}
-        _, _, result, _ = bundle_adjust(poses, points, tracks_by_id, frames_by_id, CAMERA)
+        obs = Observations(tracks, frames_by_id)
+        _, _, result, _ = bundle_adjust(poses, points, obs, frames_by_id, CAMERA)
         hist = np.array(result.cost_history)
         assert np.all(np.diff(hist) <= 1e-12)
 
@@ -426,7 +433,8 @@ class TestBundleAdjustInternals:
             return solve(residual_fn, x0, jacobian=jacobian, **kwargs)
 
         monkeypatch.setattr(sfm, "solve_least_squares", spy)
-        bundle_adjust(poses, points, tracks_by_id, frames_by_id, CAMERA, max_iterations=1)
+        obs = Observations(tracks_by_id.values(), frames_by_id)
+        bundle_adjust(poses, points, obs, frames_by_id, CAMERA, max_iterations=1)
         gps_block = handed["jacobian"](handed["x0"]).frame_rows[0]  # sqrt(w) I on each camera's position
         ba_sqrtw = dict(zip(sorted(poses), gps_block[:, 0, 3]))
         submap = Submap(
@@ -438,6 +446,26 @@ class TestBundleAdjustInternals:
         fusion_sqrtw = {fid: sw for (_, _, _, sw), fid in zip(_gps_rows([submap]), sorted(poses))}
         for fid, sigma in fixes.items():
             assert ba_sqrtw[fid] == fusion_sqrtw[fid] == np.sqrt(gps_weight(sigma))
+
+    def test_problem_is_freed_when_bundle_adjust_returns(self, monkeypatch):
+        # The problem's projection cache holds its method weakly: a cycle
+        # would keep every finished problem's arrays until a collection.
+        poses, points, tracks_by_id, frames_by_id = self.truth_started_street(150.0)
+        solve = sfm.solve_least_squares
+        handed = {}
+
+        def spy(residual_fn, x0, jacobian=None, **kwargs):
+            handed["problem"] = weakref.ref(jacobian.__self__)
+            return solve(residual_fn, x0, jacobian=jacobian, **kwargs)
+
+        monkeypatch.setattr(sfm, "solve_least_squares", spy)
+        obs = Observations(tracks_by_id.values(), frames_by_id)
+        gc.disable()
+        try:
+            bundle_adjust(poses, points, obs, frames_by_id, CAMERA, max_iterations=2)
+            assert handed["problem"]() is None
+        finally:
+            gc.enable()
 
 
 class TestSeedRefinementFailures:
@@ -577,6 +605,124 @@ class TestBatchedTriangulation:
             # rounding through the low-parallax systems' conditioning.
             if expected is not None:
                 assert np.linalg.norm(points[k] - expected) <= 1e-9 * np.linalg.norm(expected)
+
+
+def reference_seed_pair(tracks, frames_by_id):
+    """(frame a, frame b, count) ranked pair by pair, or None: the reference for `sfm._seed_pair`."""
+    pair_counts = {}
+    for track in tracks:
+        fids = [fid for fid, _ in track.observations]
+        for i in range(len(fids)):
+            for j in range(i + 1, len(fids)):
+                key = (min(fids[i], fids[j]), max(fids[i], fids[j]))
+                pair_counts[key] = pair_counts.get(key, 0) + 1
+    if not pair_counts:
+        return None
+
+    def pair_rank(item):
+        (fa, fb), count = item
+        same_exp = frames_by_id[fa].experience_id == frames_by_id[fb].experience_id
+        return (count, same_exp, -fa, -fb)
+
+    (fa, fb), count = max(pair_counts.items(), key=pair_rank)
+    return fa, fb, count
+
+
+class TestObservationTable:
+    def test_build_is_independent_of_track_order(self):
+        world = street_world()
+        noise = NoiseConfig(gps_sigma=5.0, pixel_sigma=1.0, descriptor_sigma=0.08,
+                            canyon_amplitude=0.0, ins_rot_noise_deg=0.1)
+        _, frames_by_id, subset, tracks, submap = build_from(world, noise, seed=1)
+        shuffled = list(tracks)
+        np.random.default_rng(0).shuffle(shuffled)
+        other = build_submap(subset, shuffled, frames_by_id, CAMERA)
+
+        assert sorted(other.poses) == sorted(submap.poses)
+        for fid, pose in submap.poses.items():
+            assert np.array_equal(pose.q, other.poses[fid].q) and np.array_equal(pose.t, other.poses[fid].t)
+        for name in ("landmark_positions", "landmark_descriptors", "landmark_track_ids"):
+            assert np.array_equal(getattr(submap, name), getattr(other, name))
+        for name in ("status", "discard_reasons", "reprojection_rmse", "final_cost"):
+            assert getattr(submap, name) == getattr(other, name)
+        assert submap.track_observations.keys() == other.track_observations.keys()
+        for tid, observed in submap.track_observations.items():
+            assert len(observed) == len(other.track_observations[tid])
+            for (fa, pa), (fb, pb) in zip(observed, other.track_observations[tid]):
+                assert fa == fb and np.array_equal(pa, pb)
+
+    @given(
+        st.lists(st.sets(st.integers(0, 7), min_size=1, max_size=4), max_size=12),
+        st.lists(st.integers(1, 2), min_size=8, max_size=8),
+    )
+    # Count ties across experiences: the pair within one wins over lower ids.
+    @example(frame_sets=[{0, 1}, {0, 1}, {0, 2}, {0, 2}], experiences=[1, 2, 1, 1, 1, 1, 1, 1])
+    # Count ties within one experience: the lowest first id, then second id, wins.
+    @example(frame_sets=[{0, 3}, {0, 3}, {1, 2}, {1, 2}, {0, 1}, {0, 1}], experiences=[1] * 8)
+    @settings(max_examples=200, deadline=None)
+    def test_seed_pair_matches_pairwise_ranking(self, frame_sets, experiences):
+        frames_by_id = {10 * k + 3: SimpleNamespace(experience_id=e, pixels=np.zeros((1, 2)))
+                        for k, e in enumerate(experiences)}
+        tracks = [Track(k, [(10 * f + 3, 0) for f in fids]) for k, fids in enumerate(frame_sets)]
+        obs = Observations(tracks, frames_by_id)
+        expected = reference_seed_pair(tracks, frames_by_id)
+        if expected is None:
+            with pytest.raises(InsufficientOverlap, match="no shared tracks"):
+                sfm._seed_pair(obs, frames_by_id)
+        else:
+            assert sfm._seed_pair(obs, frames_by_id) == expected
+
+    def test_triangulate_tracks_over_a_mask_matches_per_track_reference(self):
+        poses, _, tracks_by_id, frames_by_id = TestBundleAdjustInternals.truth_started_street(150.0)
+        registered = {fid: poses[fid] for fid in sorted(poses)[::3]}
+        chosen = sorted(tracks_by_id)[::2]
+        obs = Observations(tracks_by_id.values(), frames_by_id)
+        points = sfm.triangulate_tracks(obs, obs.of(chosen), registered, CAMERA)
+
+        expected, single = {}, 0
+        for tid in chosen:
+            seen = [(fid, oi) for fid, oi in tracks_by_id[tid].observations if fid in registered]
+            single += len(seen) == 1
+            origins = np.array([registered[fid].t for fid, _ in seen]).reshape(-1, 3)
+            rays = CAMERA.rays(np.array([frames_by_id[fid].pixels[oi] for fid, oi in seen]).reshape(-1, 2))
+            dirs = np.array([registered[fid].rotation @ ray for (fid, _), ray in zip(seen, rays)]).reshape(-1, 3)
+            x = reference_midpoint(origins, dirs, sfm.MIN_TRIANGULATION_ANGLE_DEG, sfm.MIN_TRIANGULATION_DEPTH)
+            if x is not None:
+                expected[tid] = x
+        assert single > 0  # some chosen tracks have one registered row and are dropped
+        assert sorted(points) == sorted(expected)
+        for tid, x in expected.items():
+            assert np.linalg.norm(points[tid] - x) <= 1e-9 * np.linalg.norm(x)
+
+    def test_bundle_adjust_holds_the_observations_of_its_frames_and_points(self, monkeypatch):
+        poses, points, tracks_by_id, frames_by_id = TestBundleAdjustInternals.truth_started_street(150.0)
+        poses = {fid: pose for k, (fid, pose) in enumerate(sorted(poses.items())) if k % 4}
+        points = {
+            tid: x for k, (tid, x) in enumerate(sorted(points.items()))
+            if k % 5 and sum(fid in poses for fid, _ in tracks_by_id[tid].observations) >= 2
+        }
+        solve = sfm.solve_least_squares
+        handed = {}
+
+        def spy(residual_fn, x0, jacobian=None, **kwargs):
+            handed["problem"] = jacobian.__self__
+            return solve(residual_fn, x0, jacobian=jacobian, **kwargs)
+
+        monkeypatch.setattr(sfm, "solve_least_squares", spy)
+        obs = Observations(tracks_by_id.values(), frames_by_id)
+        bundle_adjust(poses, points, obs, frames_by_id, CAMERA, max_iterations=1)
+
+        expected = [
+            (fid, tid, frames_by_id[fid].pixels[oi])
+            for tid in sorted(points)
+            for fid, oi in tracks_by_id[tid].observations
+            if fid in poses
+        ]
+        problem = handed["problem"]
+        assert problem.frame_ids == sorted(poses) and problem.track_ids == sorted(points)
+        assert np.array(problem.frame_ids)[problem.obs_f].tolist() == [fid for fid, _, _ in expected]
+        assert np.array(problem.track_ids)[problem.obs_l].tolist() == [tid for _, tid, _ in expected]
+        assert np.array_equal(problem.obs_px, np.array([px for _, _, px in expected]))
 
 
 class TestVerify:

@@ -64,7 +64,7 @@ class TestSplit:
         # consecutive subsets share frames through the overlap region.
         positions = [(0.2 * k, 0.0) for k in range(2500)]
         exp = make_experience(positions)
-        subsets = split_experience(exp, max_size=1000, min_radius=20.0, overlap=20.0)
+        subsets = split_experience(exp, max_size=1000)
         assert len(subsets) == 3
         for s in subsets:
             assert len(s.member_ids) <= 1000
@@ -84,14 +84,14 @@ class TestSplit:
         r = 15.0 * np.sqrt(rng.uniform(0, 1, size=5000))
         positions = np.column_stack([r * np.cos(theta), r * np.sin(theta)])
         exp = make_experience(positions)
-        subsets = split_experience(exp, max_size=1000, min_radius=20.0, seed=3)
+        subsets = split_experience(exp, max_size=1000, seed=3)
         assert len(subsets) == 1
         assert len(subsets[0].member_ids) == 1000
 
     def test_partition_of_members(self):
         positions = [(0.5 * k, 0.0) for k in range(900)]
         exp = make_experience(positions)
-        subsets = split_experience(exp, max_size=300, min_radius=20.0)
+        subsets = split_experience(exp, max_size=300)
         seen = {}
         for s in subsets:
             for fid in s.member_ids:
@@ -102,7 +102,7 @@ class TestSplit:
     def test_member_radius_meets_minimum(self):
         positions = [(0.5 * k, 0.0) for k in range(900)]
         exp = make_experience(positions)
-        for s in split_experience(exp, max_size=300, min_radius=20.0):
+        for s in split_experience(exp, max_size=300):
             assert s.radius >= 20.0 or len(s.member_ids) == 900
 
     def test_empty_experience_rejected(self):
