@@ -8,6 +8,7 @@ from .least_squares import (
     NonFinite,
     RobustPrefix,
     SolveResult,
+    Termination,
     numeric_jacobian,
     robust_cost,
     solve_least_squares,
@@ -45,6 +46,7 @@ __all__ = [
     "NonFinite",
     "RobustPrefix",
     "SolveResult",
+    "Termination",
     "robust_cost",
     "numeric_jacobian",
     "solve_least_squares",

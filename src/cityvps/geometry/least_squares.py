@@ -36,10 +36,20 @@ back-substitution. On a street only nearby frames share landmarks, so S is
 banded and the cost grows linearly with the number of frames (Triggs et al.,
 "Bundle Adjustment - A Modern Synthesis"; Konolige, "Sparse Sparse Bundle
 Adjustment"; Agarwal et al., "Bundle Adjustment in the Large").
+
+Every solve stops by one rule: once an accepted step lowers the cost by
+less than ``REL_COST_TOL`` = 1e-6 of the new cost, the default
+``function_tolerance`` of Ceres (Agarwal, Mierle et al., "Ceres Solver").
+Bundle adjustment, registration and fusion share it. Under IRLS-Huber the
+convergence is linear, so each further order of tolerance costs iterations
+that move the map by less than it resolves: against 1e-10, poses move by
+under 2 mm and landmarks by under 1 cm. ``SolveResult.termination`` says
+which stop ended a solve.
 """
 
 from __future__ import annotations
 
+import enum
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -66,17 +76,31 @@ class RobustPrefix:
         return self.n_blocks * self.block_size
 
 
+class Termination(enum.Enum):
+    """Why a solve stopped."""
+
+    ZERO_COST = "zero cost at start"
+    COST_TOLERANCE = "relative cost decrease below tolerance"
+    NEGLIGIBLE_COST = "cost negligible"
+    STALLED = "no descent at maximum damping"
+    ITERATION_BUDGET = "iteration budget exhausted"
+
+
 @dataclass
 class SolveResult:
     params: np.ndarray
     cost: float
-    converged: bool
     iterations: int
-    message: str
+    termination: Termination
     cost_history: list = field(default_factory=list)
     linear_solves: int = 0  # factorisations attempted, failed ones included
     rejected_steps: int = 0  # solved steps that did not lower the cost
     gradient_norm: float = 0.0  # |J^T r| at the last point the normal equations were formed
+
+    @property
+    def converged(self) -> bool:
+        """False only when the iteration budget ran out first."""
+        return self.termination is not Termination.ITERATION_BUDGET
 
 
 def _block_norms(r, prefix: RobustPrefix | None):
@@ -389,7 +413,13 @@ def _normal_equations(jac, r, row_w):
 
 DAMPING_INIT = 1e-4  # Levenberg-Marquardt damping of the first step, relative to diag(H)
 DAMPING_MAX = 1e10  # no descent at this damping: the point is stationary within precision
-REL_COST_TOL = 1e-10  # stop once an accepted step lowers the cost by less than this fraction
+# Stop once an accepted step lowers the cost by less than this fraction of
+# it: Ceres' default function_tolerance. Measured against 1e-10 on every
+# subset of both benchmark workloads (seed 1): the same status, frames and
+# landmarks, poses within 1.6 mm and 0.001 deg, landmarks within 6.4 mm and
+# RMSE within 1.3e-5 px, for a third fewer LM iterations on street-long
+# (1301 to 868) and a fifth fewer on city-turns (1972 to 1533).
+REL_COST_TOL = 1e-6
 
 
 def solve_least_squares(residual_fn, x0, jacobian=None, *, robust=None, max_iterations=100):
@@ -402,10 +432,10 @@ def solve_least_squares(residual_fn, x0, jacobian=None, *, robust=None, max_iter
     Jacobian is evaluated once per iteration; a failed factorisation raises
     the damping like a rejected step.
 
-    Returns a SolveResult; ``converged`` is True when the relative cost
-    decrease fell below ``REL_COST_TOL`` or the problem stalled at a stationary
-    point, False when the iteration budget ran out first. Raises NonFinite
-    if residuals at the current iterate or a solved step are non-finite.
+    Returns a SolveResult whose ``termination`` says which stop ended the
+    solve; ``converged`` is False only when the iteration budget ran out
+    first. Raises NonFinite if residuals at the current iterate or a solved
+    step are non-finite.
     """
     x = np.asarray(x0, dtype=float).copy()
     if jacobian is None:
@@ -420,12 +450,11 @@ def solve_least_squares(residual_fn, x0, jacobian=None, *, robust=None, max_iter
     cost = _cost(r, robust, norms)
     history = [cost]
     if cost == 0.0:
-        return SolveResult(x, cost, True, 0, "zero cost at start", history)
+        return SolveResult(x, cost, 0, Termination.ZERO_COST, history)
 
     mu = DAMPING_INIT
     iteration = 0
-    message = "max iterations reached"
-    converged = False
+    termination = Termination.ITERATION_BUDGET
     solves = rejected = 0
     normal = None
 
@@ -454,8 +483,7 @@ def solve_least_squares(residual_fn, x0, jacobian=None, *, robust=None, max_iter
             mu *= 10.0
         if not accepted:
             # No descent at maximal damping: stationary within precision.
-            converged = True
-            message = "no further decrease"
+            termination = Termination.STALLED
             break
 
         decrease = cost - cost_trial
@@ -463,15 +491,13 @@ def solve_least_squares(residual_fn, x0, jacobian=None, *, robust=None, max_iter
         history.append(cost)
         mu = max(mu / 3.0, 1e-12)
         if decrease <= REL_COST_TOL * max(cost, 1e-300):
-            converged = True
-            message = "relative cost decrease below tolerance"
+            termination = Termination.COST_TOLERANCE
             break
         if cost <= 1e-18 * max(1.0, history[0]):
             # Zero-residual fixed point: relative decreases stay large in
             # floating noise, so an absolute floor ends the iteration.
-            converged = True
-            message = "cost negligible"
+            termination = Termination.NEGLIGIBLE_COST
             break
 
     gradient_norm = float("nan") if normal is None else float(np.linalg.norm(normal.grad))
-    return SolveResult(x, cost, converged, iteration, message, history, solves, rejected, gradient_norm)
+    return SolveResult(x, cost, iteration, termination, history, solves, rejected, gradient_norm)

@@ -100,6 +100,23 @@ class TestFuse:
         assert so3.geodesic_angle(lhs.q, rhs.q) < 1e-6
         assert report.mean_link_displacement < 1e-6
 
+    def test_long_linked_component_fits_the_budget(self):
+        # 46 submaps of 8 frames on a staircase, each holding two rows of 4
+        # and sharing its second row with the next, with 5 m GPS noise: one
+        # component of 322 parameters, solved from the GPS alignment within
+        # MAX_ITERATIONS. (Straight single-row submaps leave each roll to the
+        # links and GPS noise alone, and can need more.)
+        rng = np.random.default_rng(0)
+        rows = [line_poses(4, start=20.0 * j, base_fid=4 * j, y=15.0 * j) for j in range(47)]
+        fixes = {fid: pose.t + rng.normal(scale=5.0, size=3) for row in rows for fid, pose in row.items()}
+        submaps = []
+        for k in range(46):
+            poses = {**rows[k], **rows[k + 1]}
+            submaps.append(make_submap(k + 1, poses, gps_override={fid: fixes[fid] for fid in poses}))
+        assert len(link_components(range(1, 47), collect_links(submaps))) == 1
+        transforms, _ = fuse(submaps)
+        assert sorted(transforms) == list(range(1, 47))
+
     def test_cost_not_worse_than_identity(self):
         rng = np.random.default_rng(0)
         poses_a = line_poses(10)
@@ -235,7 +252,8 @@ class TestMapLifecycle:
                 assert_bit_identical(got.transforms[sid], want.transforms[sid])
 
     def test_exhausted_budget_raises(self, monkeypatch):
-        monkeypatch.setattr(fusion, "MAX_ITERATIONS", 2)
+        # One iteration short of what the pair needs, whatever the solver's stop.
+        monkeypatch.setattr(fusion, "MAX_ITERATIONS", fuse(self.pair())[1].iterations - 1)
         with pytest.raises(SolverDiverged):
             fuse(self.pair())
 

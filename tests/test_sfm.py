@@ -12,6 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cityvps.geometry import (
+    GRAVITY_WORLD,
     NonFinite,
     Pose,
     RobustPrefix,
@@ -121,6 +122,25 @@ class TestNoise:
         # Well below the 5 m GPS sigma (and far below the ~8.7 m 3D error norm).
         assert np.mean(abs_errs) < 2.5
 
+    def test_default_stop_builds_the_tight_tolerance_submap(self, monkeypatch):
+        # A build whose solves stop at REL_COST_TOL matches one whose solves
+        # run to 1e-12 in all the map resolves: the same frames and
+        # landmarks, and poses within 1 cm and 0.01 degrees.
+        world = street_world()
+        noise = NoiseConfig(gps_sigma=5.0, pixel_sigma=1.0, descriptor_sigma=0.08,
+                            canyon_amplitude=0.0, ins_rot_noise_deg=0.1)
+        for seed in (1, 2, 4):
+            submap = build_from(world, noise, seed=seed, experience_id=seed)[-1]
+            with monkeypatch.context() as patch:
+                patch.setattr(least_squares, "REL_COST_TOL", 1e-12)
+                tight = build_from(world, noise, seed=seed, experience_id=seed)[-1]
+            assert submap.status == tight.status == "built"
+            assert sorted(submap.poses) == sorted(tight.poses)
+            assert np.array_equal(submap.landmark_track_ids, tight.landmark_track_ids)
+            for fid, pose in tight.poses.items():
+                assert np.linalg.norm(submap.poses[fid].t - pose.t) < 0.01
+                assert np.degrees(so3.geodesic_angle(submap.poses[fid].q, pose.q)) < 0.01
+
     def test_corrupted_subset_detected(self):
         world = street_world()
         noise = NoiseConfig(gps_sigma=5.0, pixel_sigma=1.0, descriptor_sigma=0.08,
@@ -141,11 +161,15 @@ class TestNoise:
 
 
 class TestBundleAdjustInternals:
-    def make_problem(self, seed=0, behind_camera=False):
+    def make_problem(self, seed=0, behind_camera=False, pixel_sigma=None):
         """Four frames and twelve landmarks with GPS and gravity rows.
 
         `behind_camera` appends a thirteenth landmark seen only by frame 0,
-        from behind, so its Jacobian columns are all zero.
+        from behind, so its Jacobian columns are all zero. With `pixel_sigma`
+        the problem is a well-posed one with noise: the landmarks lie 40 m
+        higher, in front of the cameras, and the pixels and gravity
+        directions are those of the returned point plus Gaussian noise of
+        `pixel_sigma` pixels and under a degree, not uniform draws.
         """
         rng = np.random.default_rng(seed)
         n_frames, n_points = 4, 12
@@ -153,6 +177,8 @@ class TestBundleAdjustInternals:
         track_ids = list(range(n_points))
         gps = rng.uniform(0, 20, size=(n_frames, 3))
         points = rng.uniform(-10, 10, size=(n_points, 3)) + np.array([10.0, 30.0, 0.0])
+        if pixel_sigma is not None:
+            points[:, 2] += 40.0
         observations = []
         for fi in frame_ids:
             for ti in track_ids:
@@ -171,6 +197,15 @@ class TestBundleAdjustInternals:
         problem = _BAProblem(frame_ids, track_ids, *map(np.array, zip(*observations)), gps,
                              np.full(n_frames, 0.04), CAMERA,
                              gravity_meas=gravity, gravity_sqrtw=5.0)
+        if pixel_sigma is not None:
+            fids, tids, pixels = map(np.array, zip(*observations))
+            projected = pixels - problem.residuals(x)[: 2 * problem.nobs].reshape(-1, 2)
+            pixels = projected + rng.normal(scale=pixel_sigma, size=projected.shape)
+            gravity = GRAVITY_WORLD @ so3.exp_many(x[: 6 * n_frames].reshape(-1, 6)[:, :3])
+            gravity += rng.normal(scale=0.01, size=gravity.shape)
+            gravity /= np.linalg.norm(gravity, axis=1, keepdims=True)
+            problem = _BAProblem(frame_ids, track_ids, fids, tids, pixels, gps, np.full(n_frames, 0.04), CAMERA,
+                                 gravity_meas=gravity, gravity_sqrtw=5.0)
         return problem, x
 
     def test_analytic_jacobian_matches_finite_differences(self):
@@ -179,6 +214,28 @@ class TestBundleAdjustInternals:
         numeric = numeric_jacobian(problem.residuals, x)
         scale = max(1.0, np.abs(analytic).max())
         assert np.abs(analytic - numeric).max() / scale < 1e-5
+
+    def test_default_stop_ends_near_a_tight_solve(self, monkeypatch):
+        # The solve that stops once a step lowers the cost by less than
+        # REL_COST_TOL ends within that fraction of the cost a solve run to
+        # 1e-12 reaches, in fewer iterations.
+        for seed in range(8):
+            problem, x = self.make_problem(seed, pixel_sigma=1.0)
+            start = x + np.random.default_rng(seed).normal(scale=0.05, size=x.shape)
+            robust = RobustPrefix(n_blocks=problem.nobs, block_size=2, delta=sfm.HUBER_DELTA_PX)
+
+            def solve():
+                return least_squares.solve_least_squares(
+                    problem.residuals, start, problem.jacobian, robust=robust, max_iterations=1000
+                )
+
+            default = solve()
+            with monkeypatch.context() as patch:
+                patch.setattr(least_squares, "REL_COST_TOL", 1e-12)
+                tight = solve()
+            assert tight.converged
+            assert abs(default.cost - tight.cost) <= 1e-6 * tight.cost
+            assert default.iterations < tight.iterations
 
     def test_cached_jacobian_is_that_of_its_own_point(self):
         # The problem keeps the projection of the last point it evaluated. A

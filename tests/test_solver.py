@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from cityvps.geometry import (
     NonFinite,
     RobustPrefix,
+    Termination,
     numeric_jacobian,
     robust_cost,
     solve_least_squares,
@@ -90,6 +91,32 @@ def test_zero_residual_immediate():
     res = solve_least_squares(lambda x: np.zeros(2), np.array([1.0, 2.0]))
     assert res.converged
     assert res.iterations == 0
+
+
+def rosenbrock(p):
+    a, b = p
+    return np.array([1.0 - a, 10.0 * (b - a * a)])
+
+
+# One solve per reason a solve can stop: (residuals, start, keyword arguments).
+TERMINATION_CASES = {
+    Termination.ZERO_COST: (lambda x: np.zeros(2), [1.0, 2.0], {}),
+    # A non-zero minimum: the steps' gains shrink below the tolerance.
+    Termination.COST_TOLERANCE: (lambda p: np.append(rosenbrock(p), 0.5 * p[0] * p[1]), [-1.2, 1.0], {}),
+    # A zero minimum: the cost falls to rounding while each step still gains most of it.
+    Termination.NEGLIGIBLE_COST: (lambda x: x - 3.0, [0.0], {}),
+    # A Jacobian of the wrong sign: every step climbs, however damped.
+    Termination.STALLED: (lambda x: x - 3.0, [0.0], {"jacobian": lambda x: -np.eye(1)}),
+    Termination.ITERATION_BUDGET: (rosenbrock, [-1.2, 1.0], {"max_iterations": 2}),
+}
+
+
+@pytest.mark.parametrize("reason", list(Termination), ids=lambda reason: reason.name.lower())
+def test_termination_reason(reason):
+    residuals, x0, kwargs = TERMINATION_CASES[reason]
+    res = solve_least_squares(residuals, np.array(x0), **kwargs)
+    assert res.termination is reason
+    assert res.converged == (reason is not Termination.ITERATION_BUDGET)
 
 
 def test_counters_match_cost_history(monkeypatch):
