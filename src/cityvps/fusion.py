@@ -5,14 +5,20 @@ submaps through frames reconstructed in more than one of them (position
 difference plus a rotation-consistency term) and anchors everything to the
 GPS priors of the reconstructed frames.
 
-The objective is a sum of independent terms over the connected components
-of the link graph (submaps joined by shared frames), so each component is
-solved on its own, in one way: Levenberg-Marquardt from the closed-form
-alignment of each submap's camera positions onto its GPS fixes. Links that
-disagree in rotation make a large-residual problem with a nearly flat mode,
-along which the solver's stop on small relative cost decrease can end short
-of the exact optimum (Triggs et al., "Bundle Adjustment - A Modern
-Synthesis", 1999). The point where it ends depends only on where it
+One constructor assembles a fusion problem: ``_FusionProblem(submaps)``
+takes the submaps it fuses and builds its link pairs (``collect_links``),
+its GPS rows (``_gps_rows``) and, in ``start()``, each submap's starting
+transform: the closed-form alignment of its camera positions onto its GPS
+fixes, or the identity when it has fewer than three. The objective is a
+sum of independent terms over the connected components of the link graph
+(submaps joined by shared frames), so ``fuse`` makes one problem per
+component and solves it by Levenberg-Marquardt from its start, and makes
+one more of all the submaps for the report.
+
+Links that disagree in rotation make a large-residual problem with a nearly
+flat mode, along which the solver's stop on small relative cost decrease
+can end short of the exact optimum (Triggs et al., "Bundle Adjustment - A
+Modern Synthesis", 1999). The point where it ends depends only on where it
 starts, and every solve starts from the same place. That mode is the roll
 of a submap about its own street, which nothing but GPS noise pins. Since
 the solver stops at a relative cost decrease of 1e-6, not 1e-10, a solve
@@ -31,6 +37,7 @@ same transforms bit for bit.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -63,7 +70,6 @@ class SharedFrameLink:
 
 @dataclass
 class FusionReport:
-    converged: bool = True
     final_cost: float = 0.0
     iterations: int = 0
     link_displacements: dict = field(default_factory=dict)  # frame_id -> meters
@@ -77,7 +83,6 @@ class GlobalMap:
     transforms: dict  # id -> Sim3
     tile_size: float
     tiles: dict = field(default_factory=dict)  # (ix, iy) -> sorted submap ids
-    bounding_circles: dict = field(default_factory=dict)  # id -> (center_xy, r)
     report: FusionReport = field(default_factory=FusionReport)
 
     def submap_ids(self):
@@ -133,27 +138,24 @@ def _gps_rows(submaps):
 class _FusionProblem:
     """Residuals/Jacobian over stacked [rotvec, t, log s] per submap.
 
-    Per pair of submaps sharing a frame: the difference of the frame's
+    Built from the submaps it fuses, in id order. Per pair of submaps
+    sharing a frame (``collect_links``): the difference of the frame's
     fused positions, then ``ROTATION_WEIGHT`` times the log of the relative
     rotation of its fused orientations. Per GPS-anchored frame after all
-    pairs: ``sqrt(w) * (fused position - gps)``.
+    pairs (``_gps_rows``): ``sqrt(w) * (fused position - gps)``.
     """
 
-    def __init__(self, submap_ids, links, gps_rows):
-        self.ids = list(submap_ids)
-        self.index = {sid: i for i, sid in enumerate(self.ids)}
+    def __init__(self, submaps):
+        submaps = sorted(submaps, key=lambda s: s.submap_id)
+        self.ids = [sm.submap_id for sm in submaps]
         self.n = len(self.ids)
-        pairs = []  # (idx_k, idx_l, pos_k, pos_l, rot_k, rot_l, frame_id)
-        for link in links:
-            entries = [e for e in link.entries if e[0] in self.index]
-            for a in range(len(entries)):
-                for b in range(a + 1, len(entries)):
-                    (sk, pk), (sl, pl) = entries[a], entries[b]
-                    pairs.append(
-                        (self.index[sk], self.index[sl], pk.t, pl.t,
-                         pk.rotation, pl.rotation, link.frame_id)
-                    )
-        gps = [(self.index[sid], pos, xyz, sw) for sid, pos, xyz, sw in gps_rows]
+        index = {sid: i for i, sid in enumerate(self.ids)}
+        pairs = [
+            (index[sk], index[sl], pk.t, pl.t, pk.rotation, pl.rotation, link.frame_id)
+            for link in collect_links(submaps)
+            for (sk, pk), (sl, pl) in itertools.combinations(link.entries, 2)
+        ]
+        gps = [(index[sid], pos, xyz, sw) for sid, pos, xyz, sw in _gps_rows(submaps)]
 
         def column(rows, k, shape, dtype=float):
             return np.array([row[k] for row in rows], dtype=dtype).reshape(shape)
@@ -165,6 +167,22 @@ class _FusionProblem:
         self.gps_idx = column(gps, 0, -1, int)
         self.gps_pos, self.gps_xyz = column(gps, 1, (-1, 3)), column(gps, 2, (-1, 3))
         self.gps_sw = column(gps, 3, -1)
+
+    def start(self) -> dict:
+        """{submap_id: Sim3}: each submap's camera positions aligned onto its GPS fixes.
+
+        The closed-form ``umeyama`` alignment of a submap with three or
+        more fixes; the identity for one with fewer.
+        """
+        transforms = {}
+        for i, sid in enumerate(self.ids):
+            mine = self.gps_idx == i
+            transforms[sid] = (
+                umeyama(self.gps_pos[mine], self.gps_xyz[mine], with_scale=True)
+                if np.count_nonzero(mine) >= 3
+                else Sim3.identity()
+            )
+        return transforms
 
     def pack(self, transforms: dict) -> np.ndarray:
         return np.concatenate([transforms[sid].params() for sid in self.ids])
@@ -225,57 +243,27 @@ class _FusionProblem:
         return jac
 
 
-def _initial_transform(submap: Submap) -> Sim3:
-    """Closed-form alignment of the submap's camera positions onto its GPS fixes."""
-    src = []
-    dst = []
-    for fid in sorted(submap.poses):
-        prior = submap.gps_priors.get(fid)
-        if prior is None:
-            continue
-        src.append(submap.poses[fid].t)
-        dst.append(np.asarray(prior[:3], dtype=float))
-    if len(src) < 3:
-        return Sim3.identity()
-    return umeyama(np.array(src), np.array(dst), with_scale=True)
-
-
 def fuse(submaps):
     """Jointly estimate one Sim3 per submap; returns (transforms, report).
 
     The submaps are linked by the frames they share (``collect_links``).
-    Each connected component of the link graph is solved on its own by
-    Levenberg-Marquardt from the GPS alignment (``_initial_transform``), and
-    its transforms are what the solver returns. The report describes the
-    whole map; its ``iterations`` sum the solves' iterations.
+    Each connected component of the link graph is its own
+    ``_FusionProblem``, solved by Levenberg-Marquardt from its ``start()``,
+    and its transforms are what the solver returns. The report describes
+    the whole map; its ``iterations`` sum the solves' iterations.
 
     Raises SolverDiverged when a component's optimization fails to converge.
     """
-    submaps = sorted(submaps, key=lambda s: s.submap_id)
-    if not submaps:
-        return {}, FusionReport()
-    links = collect_links(submaps)
     by_id = {sm.submap_id: sm for sm in submaps}
-    gps_rows = _gps_rows(submaps)
-
-    components = link_components(by_id, links)
-    component_of = {sid: c for c in components for sid in c}
-    links_of = {c: [] for c in components}
-    for link in links:
-        members = [sid for sid, _ in link.entries if sid in by_id]
-        if members:
-            links_of[component_of[members[0]]].append(link)
-    rows_of = {c: [] for c in components}
-    for row in gps_rows:
-        rows_of[component_of[row[0]]].append(row)
-
+    if not by_id:
+        return {}, FusionReport()
     transforms = {}
     iterations = 0
-    for component in components:
-        problem = _FusionProblem(component, links_of[component], rows_of[component])
+    for component in link_components(by_id, collect_links(by_id.values())):
+        problem = _FusionProblem(by_id[sid] for sid in component)
         result = solve_least_squares(
             problem.residuals,
-            problem.pack({sid: _initial_transform(by_id[sid]) for sid in component}),
+            problem.pack(problem.start()),
             jacobian=problem.jacobian,
             max_iterations=MAX_ITERATIONS,
         )
@@ -285,9 +273,7 @@ def fuse(submaps):
             )
         transforms.update(problem.unpack(result.params))
         iterations += result.iterations
-
-    whole = _FusionProblem(list(by_id), links, gps_rows)
-    return transforms, _fusion_report(whole, transforms, iterations)
+    return transforms, _fusion_report(_FusionProblem(by_id.values()), transforms, iterations)
 
 
 def _fusion_report(problem: _FusionProblem, transforms: dict, iterations: int) -> FusionReport:
@@ -295,7 +281,7 @@ def _fusion_report(problem: _FusionProblem, transforms: dict, iterations: int) -
     x = problem.pack(transforms)
     r = problem.residuals(x)
     links, gps = problem.offsets(x)
-    report = FusionReport(converged=True, final_cost=0.5 * float(r @ r), iterations=iterations)
+    report = FusionReport(final_cost=0.5 * float(r @ r), iterations=iterations)
     for fid, d in zip(problem.pair_frames, np.linalg.norm(links, axis=1)):
         report.link_displacements[fid] = max(report.link_displacements.get(fid, 0.0), float(d))
     if report.link_displacements:
@@ -334,29 +320,26 @@ def transformed_bounding_circle(submap: Submap, transform: Sim3, margin: float):
     return center, radius
 
 
-def build_tile_index(submaps: dict, transforms: dict, tile_size: float, margin: float):
-    circles = {}
+def build_tile_index(submaps: dict, transforms: dict, tile_size: float, margin: float) -> dict:
+    """(ix, iy) -> sorted ids of the submaps whose bounding circle meets that tile."""
     tiles: dict = {}
     for sid in sorted(submaps):
         center, radius = transformed_bounding_circle(submaps[sid], transforms[sid], margin)
-        circles[sid] = (center, radius)
         for key in _circle_tiles(center, radius, tile_size):
             tiles.setdefault(key, []).append(sid)
     for key in tiles:
         tiles[key] = sorted(tiles[key])
-    return tiles, circles
+    return tiles
 
 
 def _fused_map(submaps: dict) -> GlobalMap:
     """Fuse and tile-index `submaps`: the one way a GlobalMap is made."""
     transforms, report = fuse(list(submaps.values()))
-    tiles, circles = build_tile_index(submaps, transforms, TILE_SIZE, BOUNDING_MARGIN)
     return GlobalMap(
         submaps=submaps,
         transforms=transforms,
         tile_size=TILE_SIZE,
-        tiles=tiles,
-        bounding_circles=circles,
+        tiles=build_tile_index(submaps, transforms, TILE_SIZE, BOUNDING_MARGIN),
         report=report,
     )
 

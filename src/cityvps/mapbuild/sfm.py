@@ -113,15 +113,15 @@ def gravity_aligned_base(gravity_body) -> np.ndarray:
 # Triangulation
 
 
-def triangulate_midpoints(origins, directions, starts, min_angle_deg: float, min_depth: float):
+def triangulate_midpoints(origins, directions, starts):
     """Midpoints of many tracks' rays (origin, unit direction) at once.
 
     Track k owns rows ``starts[k]:starts[k + 1]`` (the last runs to the
     end), and each track has at least two rays. Returns (points (T,3),
     ok (T,)). A track is rejected when its largest pairwise ray angle is
-    below `min_angle_deg`, its 3x3 normal system is singular, or its point
-    lies at depth <= `min_depth` along any of its rays (behind or too close
-    to an observing camera); its row of `points` is then meaningless.
+    below ``MIN_TRIANGULATION_ANGLE_DEG``, or its point lies at depth
+    <= ``MIN_TRIANGULATION_DEPTH`` along any of its rays (behind or too
+    close to an observing camera); its row of `points` is then meaningless.
     """
     origins = np.asarray(origins, dtype=float)
     directions = np.asarray(directions, dtype=float)
@@ -137,39 +137,22 @@ def triangulate_midpoints(origins, directions, starts, min_angle_deg: float, min
     j = i + 1 + np.arange(i.size) - np.repeat(first_pair, partners)
     dots = np.clip(np.einsum("ij,ij->i", directions[i], directions[j]), -1.0, 1.0)
     max_angle = np.degrees(np.arccos(np.minimum.reduceat(dots, first_pair[starts])))
-    ok = max_angle >= min_angle_deg
+    ok = max_angle >= MIN_TRIANGULATION_ANGLE_DEG
 
     # Closest point to the rays: sum_k (I - d_k d_k^T) x = sum_k (I - d_k d_k^T) o_k.
+    # The sum is singular only when all the rays are parallel to one line.
+    # Rays at least MIN_TRIANGULATION_ANGLE_DEG apart are not, unless they
+    # point exactly opposite ways along it (a measure-zero case for rays
+    # computed from camera poses), so the stacked solve of the tracks kept
+    # does not raise.
     proj = np.eye(3) - directions[:, :, None] * directions[:, None, :]
     a = np.add.reduceat(proj, starts)
     b = np.add.reduceat(np.einsum("kij,kj->ki", proj, origins), starts)
     points = np.zeros((starts.size, 3))
-    x, solved = _solve_each(a[ok], b[ok])
-    points[ok] = x
-    ok[ok] = solved
+    points[ok] = np.linalg.solve(a[ok], b[ok][:, :, None])[:, :, 0]
     depths = np.einsum("ij,ij->i", points[track] - origins, directions)
-    ok &= np.minimum.reduceat(depths, starts) > min_depth
+    ok &= np.minimum.reduceat(depths, starts) > MIN_TRIANGULATION_DEPTH
     return points, ok
-
-
-def _solve_each(a, b):
-    """x with a[k] x[k] = b[k] for a stack of 3x3 systems, and which were solvable.
-
-    A stacked solve raises for the whole stack when any one matrix is
-    singular; then each system is solved alone, so a singular one is
-    rejected by itself.
-    """
-    try:
-        return np.linalg.solve(a, b[:, :, None])[:, :, 0], np.ones(len(a), dtype=bool)
-    except np.linalg.LinAlgError:
-        x = np.zeros_like(b)
-        solved = np.ones(len(a), dtype=bool)
-        for k in range(len(a)):
-            try:
-                x[k] = np.linalg.solve(a[k], b[k])
-            except np.linalg.LinAlgError:
-                solved[k] = False
-        return x, solved
 
 
 class Observations:
@@ -228,13 +211,7 @@ def triangulate_tracks(obs: Observations, rows, poses: dict, camera: Camera) -> 
     track_ids, starts = np.unique(obs.track[rows], return_index=True)
     rots, ts, cams = _frame_geometry(obs, rows, poses)
     rays = camera.rays(obs.pixel[rows])
-    points, ok = triangulate_midpoints(
-        ts[cams],
-        np.einsum("kij,kj->ki", rots[cams], rays),
-        starts,
-        MIN_TRIANGULATION_ANGLE_DEG,
-        MIN_TRIANGULATION_DEPTH,
-    )
+    points, ok = triangulate_midpoints(ts[cams], np.einsum("kij,kj->ki", rots[cams], rays), starts)
     return dict(zip(track_ids[ok].tolist(), points[ok]))
 
 

@@ -117,13 +117,33 @@ class TestFuse:
         transforms, _ = fuse(submaps)
         assert sorted(transforms) == list(range(1, 47))
 
+    def test_submap_with_two_fixes_starts_at_identity(self):
+        # Frames 0-9 in the world frame with a fix each; frames 5-14 of the
+        # same poses in a local frame, with fixes on frames 5 and 6 only:
+        # too few for an alignment, so that submap starts at the identity
+        # and the links to the first carry it to the world frame.
+        poses = line_poses(15)
+        world = make_submap(1, {fid: poses[fid] for fid in range(10)})
+        g = Sim3(so3.quat_from_rotvec([0.05, -0.02, 0.4]), np.array([12.0, -7.0, 0.5]), 1.2)
+        local = make_submap(2, {fid: g.apply_pose(poses[fid]) for fid in range(5, 15)})
+        local.gps_priors = {fid: np.concatenate([poses[fid].t, [5.0]]) for fid in (5, 6)}
+        assert sorted(sid for sid, *_ in _gps_rows([local])) == [2, 2]  # frames without a fix give no row
+
+        start = _FusionProblem([world, local]).start()
+        assert_bit_identical(start[2], Sim3.identity())
+        transforms, _ = fuse([world, local])
+        recovered = transforms[2].inverse()
+        assert np.linalg.norm(recovered.t - g.t) < 1e-6
+        assert so3.geodesic_angle(recovered.q, g.q) < 1e-6
+        assert abs(np.log(recovered.s / g.s)) < 1e-6
+
     def test_cost_not_worse_than_identity(self):
         rng = np.random.default_rng(0)
         poses_a = line_poses(10)
         poses_b = {fid: Pose(p.q, p.t + rng.normal(scale=0.3, size=3)) for fid, p in line_poses(10, base_fid=5).items()}
         a = make_submap(1, poses_a)
         b = make_submap(2, poses_b)
-        problem = _FusionProblem([1, 2], collect_links([a, b]), _gps_rows([a, b]))
+        problem = _FusionProblem([a, b])
         transforms, _ = fuse([a, b])
         identity_cost = 0.5 * float(np.sum(problem.residuals(problem.pack({1: Sim3.identity(), 2: Sim3.identity()})) ** 2))
         final_cost = 0.5 * float(np.sum(problem.residuals(problem.pack(transforms)) ** 2))
@@ -135,7 +155,7 @@ class TestFuse:
         poses = line_poses(10)
         noisy = {fid: warp.apply_pose(Pose(p.q, p.t + rng.normal(scale=0.2, size=3))) for fid, p in poses.items()}
         sm = make_submap(1, noisy, gps_override={fid: p.t for fid, p in poses.items()})
-        problem = _FusionProblem([1], [], _gps_rows([sm]))
+        problem = _FusionProblem([sm])
         transforms, report = fuse([sm])
         start = np.sqrt(np.mean(problem.residuals(problem.pack({1: Sim3.identity()})) ** 2))
         assert report.mean_gps_residual <= start
@@ -164,7 +184,7 @@ class TestFuse:
                make_submap(3, line_poses(6, base_fid=5))]
         links = collect_links(sms)
         gps_rows = _gps_rows(sms)
-        problem = _FusionProblem([1, 2, 3], links, gps_rows)
+        problem = _FusionProblem(sms)
         x = np.random.default_rng(11).normal(scale=0.2, size=21)
         t = problem.unpack(x)
         expected = []
@@ -184,7 +204,7 @@ class TestFuse:
         poses_b = line_poses(6, base_fid=3)
         a = make_submap(1, poses_a)
         b = make_submap(2, poses_b)
-        problem = _FusionProblem([1, 2], collect_links([a, b]), _gps_rows([a, b]))
+        problem = _FusionProblem([a, b])
         x = rng.normal(scale=0.2, size=14)
         analytic = problem.jacobian(x)
         numeric = numeric_jacobian(problem.residuals, x)
@@ -294,7 +314,7 @@ class TestMapLifecycle:
 
         submaps = list(updated.submaps.values())
         links = collect_links(submaps)
-        problem = _FusionProblem(sorted(updated.submaps), links, _gps_rows(submaps))
+        problem = _FusionProblem(submaps)
         r = problem.residuals(problem.pack(updated.transforms))
         assert updated.report.final_cost == pytest.approx(0.5 * float(r @ r), rel=1e-12)
         frame_ids = [link.frame_id for link in links]
@@ -331,11 +351,12 @@ class TestTileIndex:
             y = rng.uniform(0, 800)
             submaps[sid] = make_submap(sid, line_poses(8, start=start, y=y, base_fid=100 * sid))
             transforms[sid] = Sim3.identity()
-        tiles, circles = build_tile_index(submaps, transforms, tile_size=100.0, margin=20.0)
+        tiles = build_tile_index(submaps, transforms, tile_size=100.0, margin=20.0)
         for key, ids in tiles.items():
             assert ids == sorted(ids)
         # brute force: recompute membership per tile
-        for sid, (center, radius) in circles.items():
+        for sid in submaps:
+            center, radius = transformed_bounding_circle(submaps[sid], transforms[sid], margin=20.0)
             for key, ids in tiles.items():
                 ix, iy = key
                 qx = min(max(center[0], ix * 100.0), (ix + 1) * 100.0)

@@ -559,14 +559,14 @@ class TestTriangulation:
         origins = np.array([[0.0, 0.0, 0.0], [10.0, 0.0, 0.0], [0.0, 10.0, 0.0]])
         dirs = point - origins
         dirs = dirs / np.linalg.norm(dirs, axis=1, keepdims=True)
-        x, ok = triangulate_midpoints(origins, dirs, [0], 1.0, 0.05)
+        x, ok = triangulate_midpoints(origins, dirs, [0])
         assert ok[0] and np.allclose(x[0], point, atol=1e-9)
 
     def test_low_parallax_rejected(self):
         origins = np.array([[0.0, 0.0, 0.0], [0.01, 0.0, 0.0]])
         d = np.array([0.0, 0.0, 1.0])
         dirs = np.array([d, d])
-        assert not triangulate_midpoints(origins, dirs, [0], 1.0, 0.05)[1][0]
+        assert not triangulate_midpoints(origins, dirs, [0])[1][0]
 
     def test_behind_camera_rejected(self):
         origins = np.array([[0.0, 0.0, 0.0], [10.0, 0.0, 0.0]])
@@ -575,7 +575,7 @@ class TestTriangulation:
             -(target - origins[0]) / np.linalg.norm(target - origins[0]),
             -(target - origins[1]) / np.linalg.norm(target - origins[1]),
         ])
-        assert not triangulate_midpoints(origins, dirs, [0], 1.0, 0.05)[1][0]
+        assert not triangulate_midpoints(origins, dirs, [0])[1][0]
 
 
 def reference_midpoint(origins, directions, min_angle_deg, min_depth):
@@ -615,8 +615,8 @@ def track_rays(kind, n, rng):
     accepted: a 12 m baseline at 15-45 m, rays noisy by about 1e-3 rad.
     low_parallax: exact rays whose largest angle is 0.1-0.8 deg.
     behind: exact rays pointing away from the point they meet at.
-    parallel: one axis direction for every ray, so I - d d^T is exactly
-    singular and the normal system has a zero pivot.
+    parallel: one axis direction for every ray, so its largest angle is 0
+    and its normal system, exactly singular, must be kept out of the solve.
     """
     point = rng.uniform([-10.0, -10.0, 15.0], [10.0, 10.0, 40.0])
     if kind == "parallel":
@@ -639,27 +639,25 @@ def track_rays(kind, n, rng):
 class TestBatchedTriangulation:
     @given(
         st.lists(st.tuples(st.sampled_from(TRACK_KINDS), st.integers(2, 6)), min_size=1, max_size=8),
-        st.sampled_from([0.0, 1.0]),
         st.integers(0, 2**32 - 1),
     )
-    @example(tracks=[("accepted", 3), ("parallel", 2), ("low_parallax", 4), ("behind", 2)], min_angle_deg=0.0, seed=0)
+    @example(tracks=[("accepted", 3), ("parallel", 2), ("low_parallax", 4), ("behind", 2)], seed=0)
     @settings(max_examples=200, deadline=None)
-    def test_matches_per_track_reference(self, tracks, min_angle_deg, seed):
-        """Same accepted set and points to 1e-9 relative; a singular track fails alone."""
+    def test_matches_per_track_reference(self, tracks, seed):
+        """Same accepted set and points to 1e-9 relative; a parallel-ray track is rejected alone."""
         rng = np.random.default_rng(seed)
         rays = [track_rays(kind, n, rng) for kind, n in tracks]
         starts = np.cumsum([0] + [n for _, n in tracks[:-1]])
         points, ok = triangulate_midpoints(
-            np.concatenate([o for o, _ in rays]), np.concatenate([d for _, d in rays]), starts, min_angle_deg, 0.05
+            np.concatenate([o for o, _ in rays]), np.concatenate([d for _, d in rays]), starts
         )
         assert ok.shape == (len(tracks),)
         for k, ((kind, _), (origins, dirs)) in enumerate(zip(tracks, rays)):
-            expected = reference_midpoint(origins, dirs, min_angle_deg, 0.05)
+            expected = reference_midpoint(origins, dirs, sfm.MIN_TRIANGULATION_ANGLE_DEG, sfm.MIN_TRIANGULATION_DEPTH)
             # The generator makes the kinds it claims.
-            assert (expected is not None) == (kind == "accepted" or (kind == "low_parallax" and min_angle_deg == 0.0))
+            assert (expected is not None) == (kind == "accepted")
             assert ok[k] == (expected is not None), kind
-            # The batch sums in another order; 1e-9 relative covers that
-            # rounding through the low-parallax systems' conditioning.
+            # The batch sums in another order; 1e-9 relative covers that rounding.
             if expected is not None:
                 assert np.linalg.norm(points[k] - expected) <= 1e-9 * np.linalg.norm(expected)
 
