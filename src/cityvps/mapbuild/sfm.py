@@ -1,12 +1,15 @@
 """Incremental structure-from-motion with GPS-prior bundle adjustment.
 
 A submap is reconstructed by: (1) seeding from the frame pair sharing the
-most tracks, with GPS translations and INS-derived attitudes resolved by a
-coarse yaw grid; (2) midpoint-triangulating the shared tracks; (3)
-registering the remaining frames in covisibility order, each refined by a
-robust single-pose solve; (4) re-triangulating everything and running a
-full bundle adjustment that jointly minimizes robust reprojection error and
-the GPS prior on camera positions.
+most tracks and a window of nearby frames, placed at their GPS fixes with
+attitudes known from gravity and the INS chain up to one yaw, solved in
+closed form from the window's baselines; (2) midpoint-triangulating the
+shared tracks; (3) registering the remaining frames in covisibility order,
+each refined by a robust single-pose solve (a frame with no registered
+frame of its own experience takes its yaw in closed form from its
+matches); (4) re-triangulating everything and running a full bundle
+adjustment that jointly minimizes robust reprojection error and the GPS
+prior on camera positions.
 
 The subset's tracks are flattened once into an `Observations` table: per
 observation its track, frame, index in the frame and pixel, track by track
@@ -45,7 +48,6 @@ from ..geometry import (
     project_observations,
     refine_pose,
     reprojection_errors,
-    reprojection_rows,
     so3,
     solve_least_squares,
 )
@@ -59,9 +61,9 @@ GPS_SIGMA_FLOOR = 0.1  # m, see gps_weight
 # the street axis unobservable to reprojection + GPS; the measured
 # gravity direction pins it.
 GRAVITY_SIGMA_DEG = 0.2
+GRAVITY_SQRTW = 1.0 / np.deg2rad(GRAVITY_SIGMA_DEG)  # a gravity row's square-root weight, set at import
 MIN_SEED_SHARED_TRACKS = 8
 MIN_REGISTER_MATCHES = 4
-YAW_GRID = 8
 SEED_WINDOW = 6  # frames in the multi-view seed neighborhood
 MIN_TRIANGULATION_ANGLE_DEG = 1.0
 MIN_TRIANGULATION_DEPTH = 0.05
@@ -306,7 +308,7 @@ def bundle_adjust(poses, points, obs: Observations, frames_by_id, camera, max_it
     gravity = np.array([frames_by_id[fid].ins_gravity for fid in frame_ids])
     gravity = gravity / np.linalg.norm(gravity, axis=1, keepdims=True)
     problem = _BAProblem(frame_ids, sorted(points), obs.frame[rows], obs.track[rows], obs.pixel[rows], gps,
-                         weights, camera, gravity_meas=gravity, gravity_sqrtw=1.0 / np.deg2rad(GRAVITY_SIGMA_DEG))
+                         weights, camera, gravity_meas=gravity, gravity_sqrtw=GRAVITY_SQRTW)
     robust = RobustPrefix(n_blocks=problem.nobs, block_size=2, delta=HUBER_DELTA_PX)
     result = solve_least_squares(
         problem.residuals,
@@ -327,30 +329,50 @@ def bundle_adjust(poses, points, obs: Observations, frames_by_id, camera, max_it
 # Incremental reconstruction
 
 
-def _yaw_candidates(n: int):
-    return [2.0 * np.pi * k / n for k in range(n)]
+def _yaw_between(src, dst) -> float:
+    """Yaw ψ about +z that best turns the horizontal parts of `src`'s rows onto those of `dst`.
 
-
-def _window_score(poses: dict, obs: Observations, camera):
-    """Triangulate every track visible from >= 2 of the given poses and
-    score mean reprojection over those tracks' window observations.
-
-    Tracks that fail to triangulate count as a large error so hypotheses
-    cannot win by explaining away most of the evidence.
+    The weighted 2-D Procrustes angle atan2(Σ src × dst, Σ src · dst) over
+    the xy columns; each row pair weighs by the product of its lengths.
     """
-    window = obs.seen_from(poses)
-    points = triangulate_tracks(obs, window, poses, camera)
-    if not points:
-        return None, float("inf")
-    rows = _registered_rows(obs, window, poses)
-    solved = obs.of(points)[rows]
-    rows = rows[solved]
-    rots, ts, cams = _frame_geometry(obs, rows, poses)
-    world = np.array([points[tid] for tid in obs.track[rows].tolist()])
-    r = reprojection_rows(rots, ts, world, cams, obs.pixel[rows], camera)
-    errors = np.full(solved.size, BEHIND_RESIDUAL)
-    errors[solved] = np.minimum(np.linalg.norm(r, axis=1), BEHIND_RESIDUAL)
-    return points, float(np.mean(errors))
+    (sx, sy), (dx, dy) = np.asarray(src, dtype=float)[:, :2].T, np.asarray(dst, dtype=float)[:, :2].T
+    return float(np.arctan2(sx @ dy - sy @ dx, sx @ dx + sy @ dy))
+
+
+def _seed_yaw(obs: Observations, seed_a: int, levelled: dict, frames_by_id: dict, camera: Camera) -> float:
+    """The yaw that turns the `levelled` window rotations onto the world.
+
+    `levelled` maps seed_a and its window frames to their rotations up to
+    one common yaw. A frame i sharing at least 5 tracks with seed_a gives a
+    baseline direction b in the levelled frame: each shared track's rays
+    u_a, u_i span a plane that holds b, so b is the null vector of the
+    stacked u_a × u_i. Its sign follows from cheirality: b × u_i =
+    λ_a (u_a × u_i) with the depth λ_a > 0. The yaw turns these directions,
+    scaled by the GPS baseline lengths, onto the GPS baselines g_i − g_a.
+    Raises InsufficientOverlap when no frame gives a baseline.
+    """
+    in_a = obs.frame == seed_a
+    rays_a = camera.rays(obs.pixel[in_a]) @ levelled[seed_a].T
+    g_a = frames_by_id[seed_a].gps[:3]
+    directions, baselines = [], []
+    for fid, rot in levelled.items():
+        if fid == seed_a:
+            continue
+        in_i = obs.frame == fid
+        _, ia, ii = np.intersect1d(obs.track[in_a], obs.track[in_i], return_indices=True)
+        if ia.size < 5:
+            continue
+        u_a, u_i = rays_a[ia], camera.rays(obs.pixel[in_i][ii]) @ rot.T
+        normals = np.cross(u_a, u_i)
+        b = np.linalg.svd(normals)[2][-1]
+        if np.einsum("ij,ij->", np.cross(b, u_i), normals) < 0.0:
+            b = -b
+        baseline = frames_by_id[fid].gps[:3] - g_a
+        directions.append(b * np.linalg.norm(baseline))
+        baselines.append(baseline)
+    if not directions:
+        raise InsufficientOverlap("no seed window frame gives a baseline")
+    return _yaw_between(np.array(directions), np.array(baselines))
 
 
 def _seed_pair(obs: Observations, frames_by_id: dict):
@@ -382,8 +404,9 @@ def build_submap(
     """Reconstruct one subset into a Submap; failures come back discarded.
 
     Raises InsufficientOverlap when no frame pair shares enough tracks to
-    seed. Non-converging optimization marks the submap discarded rather
-    than raising.
+    seed, or the seed window gives no baseline, triangulates fewer than 4
+    tracks or fails to refine. Non-converging optimization marks the
+    submap discarded rather than raising.
     """
     frame_ids = [fid for fid in subset.all_ids() if fid in frames_by_id]
     if len(frame_ids) < 2:
@@ -406,8 +429,8 @@ def build_submap(
 
     # Seed window: the pair plus nearby frames of its experience. GPS noise
     # on a short two-frame baseline is enough to fold two-view geometry into
-    # the wrong basin; multi-view triangulation over the window averages the
-    # noise out and makes the yaw hypotheses cleanly separable.
+    # the wrong basin; the window's several baselines average the noise out
+    # of the yaw, and its multi-view triangulation out of the points.
     window_ids = {seed_a, seed_b}
     t_lo = min(fa.timestamp, fb.timestamp)
     t_hi = max(fa.timestamp, fb.timestamp)
@@ -418,50 +441,28 @@ def build_submap(
     for f in neighbors[: max(0, SEED_WINDOW - len(window_ids))]:
         window_ids.add(f.frame_id)
 
-    candidates = []
-    for psi in _yaw_candidates(YAW_GRID):
-        rot_a = so3.yaw_matrix(psi) @ base_a
-        hyp_poses = {}
-        chain = chains[fa.experience_id]
-        for fid in window_ids:
-            f = frames_by_id[fid]
-            if f.experience_id == fa.experience_id:
-                rot = rot_a @ (chain[seed_a].T @ chain[fid])
-            elif fid == seed_b:
-                rot = so3.yaw_matrix(psi) @ gravity_aligned_base(fb.ins_gravity)
-            else:
-                continue
-            hyp_poses[fid] = Pose.from_matrix(rot, f.gps[:3])
-        points, score = _window_score(hyp_poses, obs, camera)
-        if points is not None and len(points) >= 4:
-            candidates.append((score, psi, hyp_poses, points))
-    candidates.sort(key=lambda c: c[0])
-    if not candidates:
-        raise InsufficientOverlap("seed triangulation failed for all yaw hypotheses")
-
-    # Refine the leading hypotheses and keep the best refined geometry.
-    best = None
-    failures = []
-    for score, psi, hyp_poses, points in candidates[:3]:
-        try:
-            ref_poses, ref_points, _, _ = bundle_adjust(
-                hyp_poses, points, obs, frames_by_id, camera, max_iterations=20
-            )
-        except NonFinite as exc:
-            failures.append(f"yaw {np.degrees(psi):.0f} deg: {exc}")
-            continue
-        ref_points, cost = _window_score(ref_poses, obs, camera)
-        if best is None or cost < best[0]:
-            best = (cost, ref_poses, ref_points)
-    if best is None:
-        raise InsufficientOverlap("seed refinement failed: " + "; ".join(failures))
-
-    _, poses, points = best
-    poses, points, result, _ = bundle_adjust(poses, points, obs, frames_by_id, camera, max_iterations=30)
+    chain = chains[fa.experience_id]
+    levelled = {
+        fid: base_a @ (chain[seed_a].T @ chain[fid])
+        for fid in sorted(window_ids)
+        if frames_by_id[fid].experience_id == fa.experience_id
+    }
+    yaw = so3.yaw_matrix(_seed_yaw(obs, seed_a, levelled, frames_by_id, camera))
+    poses = {fid: Pose.from_matrix(yaw @ rot, frames_by_id[fid].gps[:3]) for fid, rot in levelled.items()}
+    if seed_b not in poses:
+        poses[seed_b] = Pose.from_matrix(yaw @ gravity_aligned_base(fb.ins_gravity), fb.gps[:3])
+    points = triangulate_tracks(obs, obs.seen_from(poses), poses, camera)
+    if len(points) < 4:
+        raise InsufficientOverlap(f"seed triangulated {len(points)} tracks")
+    try:
+        poses, points, _, _ = bundle_adjust(poses, points, obs, frames_by_id, camera, max_iterations=20)
+    except NonFinite as exc:
+        raise InsufficientOverlap(f"seed refinement failed: {exc}") from exc
+    points = triangulate_tracks(obs, obs.seen_from(poses), poses, camera)
+    poses, points, _, _ = bundle_adjust(poses, points, obs, frames_by_id, camera, max_iterations=30)
 
     failed: dict = {}  # frame id -> match count when registration last failed
     since_ba = 0
-    gravity_sqrtw = 1.0 / np.deg2rad(GRAVITY_SIGMA_DEG)
     subset_frames = set(frame_ids)
     while True:
         # Next frame: most observations of already-triangulated tracks.
@@ -484,36 +485,28 @@ def build_submap(
         pix = obs.pixel[matches]
 
         # Initial rotation: INS chain from the nearest registered frame of the
-        # same experience, else gravity + yaw grid scored on reprojection.
+        # same experience, else gravity and the yaw that turns the matches'
+        # rays onto their bearings from the GPS fix.
         chain = chains[frame.experience_id]
         ref = min(
             (other for other in poses if frames_by_id[other].experience_id == frame.experience_id),
             key=lambda other: abs(frames_by_id[other].timestamp - frame.timestamp),
             default=None,
         )
-        inits = []
         if ref is not None:
             rot = poses[ref].rotation @ (chain[ref].T @ chain[fid])
-            inits.append(Pose.from_matrix(rot, frame.gps[:3]))
         else:
             base = gravity_aligned_base(frame.ins_gravity)
-            for psi in _yaw_candidates(YAW_GRID):
-                inits.append(Pose.from_matrix(so3.yaw_matrix(psi) @ base, frame.gps[:3]))
+            rot = so3.yaw_matrix(_yaw_between(camera.rays(pix) @ base.T, pts3d - frame.gps[:3])) @ base
 
         early = len(poses) < EARLY_PHASE_FRAMES
         inlier_px = REGISTER_INLIER_PX * (3.0 if early else 1.0)
-        best_pose = None
-        best_inliers = -1
-        for init in inits:
-            pose, _, _ = refine_pose(pts3d, pix, camera, init, frame.ins_gravity, gravity_sqrtw, HUBER_DELTA_PX)
-            errs = reprojection_errors(pose, pts3d, pix, camera)
-            inliers = int((errs < inlier_px).sum())
-            if inliers > best_inliers:
-                best_pose, best_inliers = pose, inliers
-        if best_pose is None or best_inliers < MIN_REGISTER_MATCHES:
+        init = Pose.from_matrix(rot, frame.gps[:3])
+        pose, _, _ = refine_pose(pts3d, pix, camera, init, frame.ins_gravity, GRAVITY_SQRTW, HUBER_DELTA_PX)
+        if (reprojection_errors(pose, pts3d, pix, camera) < inlier_px).sum() < MIN_REGISTER_MATCHES:
             failed[fid] = count
             continue
-        poses[fid] = best_pose
+        poses[fid] = pose
         since_ba += 1
 
         # Only tracks observing the new frame can have become solvable.

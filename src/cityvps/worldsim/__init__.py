@@ -10,16 +10,7 @@ from .experience import (
     default_camera,
     simulate_experience,
 )
-from .io import (
-    Oracle,
-    UnknownFrame,
-    read_experience,
-    read_truth_sidecar,
-    read_world,
-    write_experience,
-    write_truth_sidecar,
-    write_world,
-)
+from .oracle import Oracle, UnknownFrame
 from .world import (
     BadConfig,
     Landmark,
@@ -52,10 +43,4 @@ __all__ = [
     "corrupt_observations",
     "Oracle",
     "UnknownFrame",
-    "read_experience",
-    "read_truth_sidecar",
-    "read_world",
-    "write_experience",
-    "write_truth_sidecar",
-    "write_world",
 ]

@@ -70,8 +70,7 @@ class Frame:
     pixels: np.ndarray  # (n, 2)
     descriptors: np.ndarray  # (n, d)
     condition_value: float
-    # Ground truth, consumed only by the oracle and tests; never serialized
-    # into the experience log (it lives in the sidecar).
+    # Ground truth, consumed only by the oracle and tests.
     true_pose: Pose | None = None
     landmark_ids: np.ndarray | None = None
 

@@ -39,6 +39,7 @@ from cityvps.mapbuild import sfm
 from cityvps.mapbuild.sfm import Observations, _BAProblem, gps_weight, triangulate_midpoints
 from cityvps.worldsim import (
     NoiseConfig,
+    Oracle,
     SimConfig,
     Street,
     WorldConfig,
@@ -541,8 +542,8 @@ class TestSeedRefinementFailures:
         monkeypatch.setattr(sfm, "bundle_adjust", failing)
         with pytest.raises(InsufficientOverlap, match="seed refinement failed: .*non-finite update step") as info:
             self.build()
-        # One reason per refined yaw hypothesis.
-        assert str(info.value).count("non-finite update step") == 3
+        # The seed is refined once, so its one failure is reported once.
+        assert str(info.value).count("non-finite update step") == 1
 
     def test_other_errors_propagate(self, monkeypatch):
         def broken(*args, **kwargs):
@@ -551,6 +552,69 @@ class TestSeedRefinementFailures:
         monkeypatch.setattr(sfm, "bundle_adjust", broken)
         with pytest.raises(TypeError, match="unexpected keyword"):
             self.build()
+
+
+class TestClosedFormYaw:
+    @given(
+        st.integers(1, 20),
+        st.floats(-10.0, 10.0),
+        st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_yaw_between_recovers_a_turn_about_z(self, n, psi, seed):
+        """Rows turned by ψ about +z and rescaled give back ψ, modulo 2π."""
+        rng = np.random.default_rng(seed)
+        src = rng.normal(size=(n, 3))
+        dst = (src @ so3.yaw_matrix(psi).T) * rng.uniform(0.1, 10.0, size=(n, 1))
+        got = sfm._yaw_between(src, dst)
+        assert abs(np.angle(np.exp(1j * (got - psi)))) < 1e-9
+
+    def test_frame_of_an_unregistered_experience_is_registered_exactly(self, monkeypatch):
+        """Zero noise: a seed from borrowed frames of experience 2, then experience 1 by gravity and yaw.
+
+        The subset is experience 1 with frames 10-11 of experience 2
+        borrowed; they are the seed pair, so the first experience-1 frame
+        has no registered frame of its own experience.
+        """
+        world = street_world()
+        exp1 = simulate_experience(world, ["main"], experience_id=1, noise=NoiseConfig.zero(),
+                                   sim=SimConfig(speed=6.0), seed=0)
+        exp2 = simulate_experience(world, ["main"], experience_id=2, noise=NoiseConfig.zero(),
+                                   sim=SimConfig(speed=6.0, yaw_amplitude_deg=30.0), seed=1)
+        frames_by_id = {f.frame_id: f for exp in (exp1, exp2) for f in exp.frames}
+        [subset] = split_experience(exp1)
+        borrowed = [exp2.frames[10].frame_id, exp2.frames[11].frame_id]
+        subset.augmented_ids = borrowed
+        yaws, inits = [], []
+        yaw_between, refine_pose = sfm._yaw_between, sfm.refine_pose
+
+        def yaw_spy(src, dst):
+            yaws.append(len(src))
+            return yaw_between(src, dst)
+
+        def refine_spy(points, pixels, camera, init, *args):
+            inits.append((len(yaws), init))
+            return refine_pose(points, pixels, camera, init, *args)
+
+        monkeypatch.setattr(sfm, "_yaw_between", yaw_spy)
+        monkeypatch.setattr(sfm, "refine_pose", refine_spy)
+        tracks = build_tracks(subset, frames_by_id)
+        assert sfm._seed_pair(Observations(tracks, frames_by_id), frames_by_id)[:2] == tuple(borrowed)
+        submap = build_submap(subset, tracks, frames_by_id, CAMERA)
+
+        # One call seeds; the next gives the yaw of the first frame of
+        # experience 1, and its start is already exact.
+        assert len(yaws) >= 2
+        oracle = Oracle.from_experiences([exp1, exp2])
+        init = next(init for n, init in inits if n == 2)
+        [fid] = [f.frame_id for f in exp1.frames if np.allclose(f.gps[:3], init.t)]
+        assert np.degrees(np.linalg.norm(so3.log(oracle.pose(fid).rotation.T @ init.rotation))) < 1e-6
+        assert submap.status == "built"
+        for fid, pose in submap.poses.items():
+            truth = oracle.pose(fid)
+            assert np.degrees(np.linalg.norm(so3.log(truth.rotation.T @ pose.rotation))) < 1e-6, fid
+            assert np.linalg.norm(pose.t - truth.t) < 1e-6, fid
+        assert verify_submap(submap, frames_by_id).passed
 
 
 class TestTriangulation:
