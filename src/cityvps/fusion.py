@@ -15,17 +15,18 @@ sum of independent terms over the connected components of the link graph
 component and solves it by Levenberg-Marquardt from its start, and makes
 one more of all the submaps for the report.
 
-Links that disagree in rotation make a large-residual problem with a nearly
-flat mode, along which the solver's stop on small relative cost decrease
-can end short of the exact optimum (Triggs et al., "Bundle Adjustment - A
-Modern Synthesis", 1999). The point where it ends depends only on where it
-starts, and every solve starts from the same place. That mode is the roll
-of a submap about its own street, which nothing but GPS noise pins. Since
-the solver stops at a relative cost decrease of 1e-6, not 1e-10, a solve
-ends further along that mode than it did: the fused roll, and with it the
-map's orientation error, moves while the cost hardly does (city-turns'
-oracle orientation error went from 7.64 to 8.13 degrees). An orientation
-term that anchors roll to gravity would remove the mode.
+Each submap turns and scales about its own camera centroid c_k: the solver
+sees fused = s R (p - c_k) + t', and ``pack``/``unpack`` convert to and from
+the transform p -> s R p + t with t = t' - s R c_k. Turned about the world
+origin, hundreds of metres away, a rotation step would move a submap almost
+as a translation step does, and LM would crawl along that near-degenerate
+direction (Triggs et al., "Bundle Adjustment - A Modern Synthesis", 1999,
+on gauge and parameterisation). What remains is
+the roll of a submap about its own street, which nothing but GPS noise
+pins: along it the cost is nearly flat, so where the solver's stop on small
+relative cost decrease ends sets the fused roll and with it the map's
+orientation error. An orientation term that anchors roll to gravity would
+remove that mode.
 
 So the map is a function of its submaps alone: the weights, the tile size
 and the iteration budget are module constants, and each GPS fix is weighted
@@ -136,9 +137,11 @@ def _gps_rows(submaps):
 
 
 class _FusionProblem:
-    """Residuals/Jacobian over stacked [rotvec, t, log s] per submap.
+    """Residuals/Jacobian over stacked [rotvec, t', log s] per submap.
 
-    Built from the submaps it fuses, in id order. Per pair of submaps
+    Built from the submaps it fuses, in id order. A submap's fused position
+    of p is s R (p - c_k) + t', about its camera centroid c_k (``pack``,
+    ``unpack``). Per pair of submaps
     sharing a frame (``collect_links``): the difference of the frame's
     fused positions, then ``ROTATION_WEIGHT`` times the log of the relative
     rotation of its fused orientations. Per GPS-anchored frame after all
@@ -167,28 +170,39 @@ class _FusionProblem:
         self.gps_idx = column(gps, 0, -1, int)
         self.gps_pos, self.gps_xyz = column(gps, 1, (-1, 3)), column(gps, 2, (-1, 3))
         self.gps_sw = column(gps, 3, -1)
+        # Each submap turns and scales about its camera centroid c_k.
+        self.centroids = np.array([sm.positions().mean(axis=0) for sm in submaps]).reshape(-1, 3)
+        self.pos_k -= self.centroids[self.pair_k]
+        self.pos_l -= self.centroids[self.pair_l]
+        self.gps_pos -= self.centroids[self.gps_idx]
 
     def start(self) -> dict:
         """{submap_id: Sim3}: each submap's camera positions aligned onto its GPS fixes.
 
-        The closed-form ``umeyama`` alignment of a submap with three or
-        more fixes; the identity for one with fewer.
+        The closed-form ``umeyama`` alignment of a submap's centred
+        positions when it has three or more fixes; the identity for one
+        with fewer.
         """
         transforms = {}
         for i, sid in enumerate(self.ids):
             mine = self.gps_idx == i
-            transforms[sid] = (
-                umeyama(self.gps_pos[mine], self.gps_xyz[mine], with_scale=True)
-                if np.count_nonzero(mine) >= 3
-                else Sim3.identity()
-            )
+            if np.count_nonzero(mine) >= 3:
+                fit = umeyama(self.gps_pos[mine], self.gps_xyz[mine], with_scale=True)
+                transforms[sid] = Sim3(fit.q, fit.t - fit.s * fit.rotation @ self.centroids[i], fit.s)
+            else:
+                transforms[sid] = Sim3.identity()
         return transforms
 
     def pack(self, transforms: dict) -> np.ndarray:
-        return np.concatenate([transforms[sid].params() for sid in self.ids])
+        """Parameters [rotvec, t + s R c_k, log s] of each submap's transform p -> s R p + t."""
+        x = np.concatenate([transforms[sid].params() for sid in self.ids]).reshape(self.n, 7)
+        x[:, 3:6] += np.exp(x[:, 6:]) * np.einsum("nij,nj->ni", self._rotations(x), self.centroids)
+        return x.ravel()
 
     def unpack(self, x) -> dict:
-        return {sid: Sim3.from_params(x[7 * i : 7 * i + 7]) for i, sid in enumerate(self.ids)}
+        x = np.reshape(x, (self.n, 7)).copy()
+        x[:, 3:6] -= np.exp(x[:, 6:]) * np.einsum("nij,nj->ni", self._rotations(x), self.centroids)
+        return {sid: Sim3.from_params(x[i]) for i, sid in enumerate(self.ids)}
 
     def _rotations(self, x):
         return np.array([so3.exp(v) for v in np.reshape(x, (self.n, 7))[:, :3]])

@@ -13,7 +13,7 @@ from .least_squares import (
     robust_cost,
     solve_least_squares,
 )
-from .pose import GRAVITY_WORLD, Pose, Sim3, umeyama
+from .pose import GRAVITY_WORLD, Pose, Sim3, umeyama, umeyama_yaw, yaw_between
 from .reproject import (
     BEHIND_RESIDUAL,
     LastEvaluation,
@@ -38,6 +38,8 @@ __all__ = [
     "Pose",
     "Sim3",
     "umeyama",
+    "umeyama_yaw",
+    "yaw_between",
     "huber",
     "huber_loss_many",
     "huber_weight_many",

@@ -177,3 +177,42 @@ def umeyama(src, dst, with_scale=True):
         scale = 1.0
     t = mu_d - scale * rotation @ mu_s
     return Sim3(so3.matrix_to_quat(rotation), t, scale)
+
+
+def yaw_between(src, dst) -> float:
+    """Yaw ψ about +z that best turns the horizontal parts of `src`'s rows onto those of `dst`.
+
+    The weighted 2-D Procrustes angle atan2(Σ src × dst, Σ src · dst) over
+    the xy columns; each row pair weighs by the product of its lengths.
+    """
+    (sx, sy), (dx, dy) = np.asarray(src, dtype=float)[:, :2].T, np.asarray(dst, dtype=float)[:, :2].T
+    return float(np.arctan2(sx @ dy - sy @ dx, sx @ dx + sy @ dy))
+
+
+def umeyama_yaw(src, dst, weights) -> Sim3:
+    """Yaw-only similarity s R_z(ψ) x + t minimizing Σ w_i |s R_z src_i + t − dst_i|².
+
+    About the weighted centroids p̄ of `src` and ḡ of `dst`, ψ is the
+    weighted Procrustes angle of the centred xy columns (``yaw_between``),
+    s = Σ w g̃·R_z p̃ / Σ w |p̃|² and t = ḡ − s R_z p̄: the exact minimizer.
+    Returns the identity when the fit is degenerate: no weight, no spread
+    of `src`, or a scale that is not positive.
+    """
+    src = np.asarray(src, dtype=float).reshape(-1, 3)
+    dst = np.asarray(dst, dtype=float).reshape(-1, 3)
+    w = np.asarray(weights, dtype=float).reshape(-1)
+    total = w.sum()
+    if not total > 0.0:
+        return Sim3.identity()
+    # Centroids taken relative to the first rows, so that rows which all
+    # coincide centre to exactly zero.
+    p_bar, g_bar = src[0] + w @ (src - src[0]) / total, dst[0] + w @ (dst - dst[0]) / total
+    p, g = src - p_bar, dst - g_bar
+    spread = w @ np.einsum("ij,ij->i", p, p)
+    if not spread > 0.0:
+        return Sim3.identity()
+    rz = so3.yaw_matrix(yaw_between(w[:, None] * p, g))
+    s = float(w @ np.einsum("ij,ij->i", g, p @ rz.T)) / spread
+    if not (np.isfinite(s) and s > 0.0):
+        return Sim3.identity()
+    return Sim3(so3.matrix_to_quat(rz), g_bar - s * rz @ p_bar, s)

@@ -9,7 +9,11 @@ each refined by a robust single-pose solve (a frame with no registered
 frame of its own experience takes its yaw in closed form from its
 matches); (4) re-triangulating everything and running a full bundle
 adjustment that jointly minimizes robust reprojection error and the GPS
-prior on camera positions.
+prior on camera positions. Every bundle adjustment, of the seed, during
+registration and the final one, starts in its GPS gauge: the poses and
+points are first moved by the closed-form yaw, scale and shift that fit the
+cameras to their fixes (`umeyama_yaw`), so its iterations go to the map's
+shape.
 
 The subset's tracks are flattened once into an `Observations` table: per
 observation its track, frame, index in the frame and pixel, track by track
@@ -50,6 +54,8 @@ from ..geometry import (
     reprojection_errors,
     so3,
     solve_least_squares,
+    umeyama_yaw,
+    yaw_between as _yaw_between,
 )
 from .types import FrameSubset, InsufficientOverlap, Submap, Track
 
@@ -258,6 +264,21 @@ class _BAProblem:
         cams = [poses[fid].params() for fid in self.frame_ids]
         return np.concatenate(cams + [np.array([points[tid] for tid in self.track_ids]).ravel()])
 
+    def start(self, poses: dict, points: dict) -> np.ndarray:
+        """`pack` of `poses` and `points` moved into their GPS gauge.
+
+        The yaw about +z, scale and shift that best fit the cameras to their
+        fixes under the GPS weights (``umeyama_yaw``) move every pose and
+        point. Camera-frame points only scale, so no pixel moves; a turn
+        about +z moves no gravity row; and the GPS rows' cost cannot rise,
+        as the fit's family holds the identity. LM then spends its
+        iterations on the map's shape, not on its gauge.
+        """
+        gauge = umeyama_yaw([poses[fid].t for fid in self.frame_ids], self.gps, self.gps_sqrtw**2)
+        moved = gauge.apply_many(np.array([points[tid] for tid in self.track_ids]).reshape(-1, 3))
+        poses = {fid: gauge.apply_pose(poses[fid]) for fid in self.frame_ids}
+        return self.pack(poses, dict(zip(self.track_ids, moved)))
+
     def unpack(self, x):
         poses = {fid: Pose.from_params(p) for fid, p in zip(self.frame_ids, x[: 6 * self.nf].reshape(-1, 6))}
         points = dict(zip(self.track_ids, x[6 * self.nf :].reshape(-1, 3).copy()))
@@ -296,7 +317,8 @@ def bundle_adjust(poses, points, obs: Observations, frames_by_id, camera, max_it
     """Joint robust reprojection + GPS-prior refinement of poses and points.
 
     Adjusts the rows of `obs` that lie in the frames of `poses` and belong
-    to the tracks of `points`. Runs at most `max_iterations` LM
+    to the tracks of `points`, starting from them moved into their GPS
+    gauge (`_BAProblem.start`). Runs at most `max_iterations` LM
     iterations, ``BA_MAX_ITERATIONS`` when None. Returns (poses, points,
     SolveResult, rmse) where rmse is over valid (in-front) observations
     after optimization.
@@ -312,7 +334,7 @@ def bundle_adjust(poses, points, obs: Observations, frames_by_id, camera, max_it
     robust = RobustPrefix(n_blocks=problem.nobs, block_size=2, delta=HUBER_DELTA_PX)
     result = solve_least_squares(
         problem.residuals,
-        problem.pack(poses, points),
+        problem.start(poses, points),
         jacobian=problem.jacobian,
         robust=robust,
         max_iterations=max_iterations or BA_MAX_ITERATIONS,
@@ -327,16 +349,6 @@ def bundle_adjust(poses, points, obs: Observations, frames_by_id, camera, max_it
 
 # ---------------------------------------------------------------------------
 # Incremental reconstruction
-
-
-def _yaw_between(src, dst) -> float:
-    """Yaw ψ about +z that best turns the horizontal parts of `src`'s rows onto those of `dst`.
-
-    The weighted 2-D Procrustes angle atan2(Σ src × dst, Σ src · dst) over
-    the xy columns; each row pair weighs by the product of its lengths.
-    """
-    (sx, sy), (dx, dy) = np.asarray(src, dtype=float)[:, :2].T, np.asarray(dst, dtype=float)[:, :2].T
-    return float(np.arctan2(sx @ dy - sy @ dx, sx @ dx + sy @ dy))
 
 
 def _seed_yaw(obs: Observations, seed_a: int, levelled: dict, frames_by_id: dict, camera: Camera) -> float:

@@ -117,6 +117,25 @@ class TestFuse:
         transforms, _ = fuse(submaps)
         assert sorted(transforms) == list(range(1, 47))
 
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_straight_chain_fits_the_budget(self, seed):
+        # 46 straight single-row submaps of 8 frames, neighbours sharing 2,
+        # with 5 m GPS noise: each submap's roll about its own line is
+        # pinned only by the links and the noise. Turned about the world
+        # origin the solve needed 223, 240 and 373 iterations; about each
+        # submap's centroid it needs 15, 61 and 61.
+        rng = np.random.default_rng(seed)
+        poses = line_poses(6 * 45 + 8)
+        fixes = {fid: pose.t + rng.normal(scale=5.0, size=3) for fid, pose in poses.items()}
+        submaps = []
+        for k in range(46):
+            mine = {fid: poses[fid] for fid in range(6 * k, 6 * k + 8)}
+            submaps.append(make_submap(k + 1, mine, gps_override={fid: fixes[fid] for fid in mine}))
+        assert len(link_components(range(1, 47), collect_links(submaps))) == 1
+        transforms, report = fuse(submaps)
+        assert sorted(transforms) == list(range(1, 47))
+        assert report.iterations <= fusion.MAX_ITERATIONS
+
     def test_submap_with_two_fixes_starts_at_identity(self):
         # Frames 0-9 in the world frame with a fix each; frames 5-14 of the
         # same poses in a local frame, with fixes on frames 5 and 6 only:

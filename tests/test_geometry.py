@@ -19,6 +19,7 @@ from cityvps.geometry import (
     reprojection_errors,
     so3,
     umeyama,
+    umeyama_yaw,
 )
 from cityvps.geometry import reproject
 from cityvps.geometry.camera import MIN_DEPTH
@@ -390,3 +391,56 @@ class TestUmeyama:
         dst = 2.0 * src
         est = umeyama(src, dst, with_scale=False)
         assert est.s == 1.0
+
+
+class TestUmeyamaYaw:
+    @given(
+        st.integers(2, 12),
+        angles,
+        st.floats(0.5, 2.0),
+        st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_recovers_a_yaw_scale_and_shift(self, n, psi, scale, seed):
+        """Weighted points turned about +z, scaled and shifted give back that transform."""
+        rng = np.random.default_rng(seed)
+        src = rng.normal(scale=20.0, size=(n, 3)) + rng.uniform(-5000.0, 5000.0, size=3)
+        truth = Sim3(so3.matrix_to_quat(so3.yaw_matrix(psi)), rng.normal(scale=100.0, size=3), scale)
+        fit = umeyama_yaw(src, truth.apply_many(src), rng.uniform(0.01, 100.0, size=n))
+        assert np.abs(fit.rotation - truth.rotation).max() < 1e-9
+        assert abs(fit.s - truth.s) < 1e-9
+        assert np.abs(fit.t - truth.t).max() < 1e-9 * max(1.0, np.abs(truth.t).max())
+
+    @given(st.integers(1, 8), st.integers(0, 2**32 - 1))
+    @settings(max_examples=100, deadline=None)
+    def test_is_the_least_squares_minimizer(self, n, seed):
+        """No nearby yaw, scale or shift lowers the weighted cost of the fit."""
+        rng = np.random.default_rng(seed)
+        src = rng.normal(scale=10.0, size=(n + 1, 3))
+        dst = 1.5 * src @ so3.yaw_matrix(rng.uniform(-3.0, 3.0)).T + rng.normal(scale=2.0, size=src.shape)
+        w = rng.uniform(0.1, 10.0, size=n + 1)
+        fit = umeyama_yaw(src, dst, w)
+
+        def cost(psi, log_s, t):
+            moved = np.exp(log_s) * src @ so3.yaw_matrix(psi).T + t
+            return w @ ((moved - dst) ** 2).sum(axis=1)
+
+        psi = np.arctan2(fit.rotation[1, 0], fit.rotation[0, 0])
+        best = cost(psi, np.log(fit.s), fit.t)
+        for step in rng.normal(scale=1e-3, size=(20, 5)):
+            assert cost(psi + step[0], np.log(fit.s) + step[1], fit.t + step[2:]) >= best - 1e-9 * (1.0 + best)
+
+    def test_degenerate_fits_are_the_identity(self):
+        rng = np.random.default_rng(3)
+        src = rng.normal(size=(6, 3))
+        dst = rng.normal(size=(6, 3))
+        point = np.array([4321.0, -1234.5, 7.0])
+        vertical = np.column_stack([np.zeros((6, 2)), rng.normal(size=6)])
+        for args in (
+            (np.zeros((0, 3)), np.zeros((0, 3)), np.zeros(0)),  # nothing to fit
+            (src, dst, np.zeros(6)),  # no weight
+            (np.tile(point, (6, 1)), dst, np.ones(6)),  # no spread
+            (vertical + point, point - vertical, np.ones(6)),  # only a negative scale fits
+        ):
+            fit = umeyama_yaw(*args)
+            assert np.array_equal(fit.q, Sim3.identity().q) and np.array_equal(fit.t, np.zeros(3)) and fit.s == 1.0

@@ -526,6 +526,55 @@ class TestBundleAdjustInternals:
             gc.enable()
 
 
+class TestGaugeStart:
+    def test_start_moves_only_the_gps_rows(self):
+        # A problem turned off its fixes by a yaw, scale and shift: the start
+        # moves it by one yaw, scale and shift, so its pixel and gravity rows
+        # stay and its GPS rows' cost does not rise.
+        for seed in range(8):
+            problem, x = TestBundleAdjustInternals().make_problem(seed, pixel_sigma=1.0)
+            rng = np.random.default_rng(seed)
+            off = Sim3(so3.matrix_to_quat(so3.yaw_matrix(rng.uniform(-3.0, 3.0))), rng.normal(scale=5.0, size=3),
+                       rng.uniform(0.7, 1.4))
+            poses, points = problem.unpack(x)
+            poses = {fid: off.apply_pose(pose) for fid, pose in poses.items()}
+            points = {tid: off.apply(point) for tid, point in points.items()}
+            before = problem.residuals(problem.pack(poses, points))
+            after = problem.residuals(problem.start(poses, points))
+            gps = slice(2 * problem.nobs, 2 * problem.nobs + 3 * problem.nf)
+            for rows in (slice(0, gps.start), slice(gps.stop, None)):  # pixels, gravity
+                assert np.abs(after[rows] - before[rows]).max() <= 1e-9 * np.abs(before[rows]).max()
+            assert after[gps] @ after[gps] <= before[gps] @ before[gps]
+            assert after[gps] @ after[gps] < 0.5 * (before[gps] @ before[gps])
+
+    def test_yawed_window_is_adjusted_back_at_once(self):
+        # Zero noise: eight frames of the street and their points, turned 10
+        # degrees and scaled by 0.9 about their centroid, are adjusted back
+        # onto the submap by the start alone (5 iterations from the turned
+        # poses themselves).
+        _, frames_by_id, _, tracks, submap = build_from(street_world(), NoiseConfig.zero())
+        obs = Observations(tracks, frames_by_id)
+        fids = sorted(submap.poses)
+        window = fids[len(fids) // 2 - 4 : len(fids) // 2 + 4]
+        tids, counts = np.unique(obs.track[obs.seen_from(window)], return_counts=True)
+        landmarks = dict(zip(submap.landmark_track_ids.tolist(), submap.landmark_positions))
+        points = {tid: landmarks[tid] for tid in tids[counts >= 2].tolist() if tid in landmarks}
+        assert len(points) >= 20
+        c = np.mean([submap.poses[fid].t for fid in window], axis=0)
+        yaw = so3.yaw_matrix(np.radians(10.0))
+        turn = Sim3(so3.matrix_to_quat(yaw), c - 0.9 * yaw @ c, 0.9)
+
+        poses, _, result, _ = bundle_adjust(
+            {fid: turn.apply_pose(submap.poses[fid]) for fid in window},
+            {tid: turn.apply(point) for tid, point in points.items()},
+            obs, frames_by_id, CAMERA,
+        )
+        assert result.iterations <= 2
+        for fid in window:
+            assert np.linalg.norm(poses[fid].t - submap.poses[fid].t) < 1e-6
+            assert so3.geodesic_angle(poses[fid].q, submap.poses[fid].q) < 1e-6
+
+
 class TestSeedRefinementFailures:
     def build(self):
         world = street_world(length=80.0)
