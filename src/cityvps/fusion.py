@@ -42,10 +42,9 @@ import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse.csgraph import connected_components
 
 from .geometry import Pose, Sim3, batch_skew, so3, solve_least_squares, umeyama
+from .geometry.graph import components
 from .mapbuild.sfm import gps_weight
 from .mapbuild.types import SolverDiverged, Submap
 
@@ -115,10 +114,8 @@ def link_components(submap_ids, links) -> list:
         members = [index[sid] for sid, _ in link.entries if sid in index]
         heads += members[:1] * (len(members) - 1)
         tails += members[1:]
-    graph = sp.coo_matrix((np.ones(len(heads)), (heads, tails)), shape=(len(ids), len(ids)))
-    _, labels = connected_components(graph, directed=False)
     groups: dict = {}
-    for sid, label in zip(ids, labels.tolist()):
+    for sid, label in zip(ids, components(len(ids), heads, tails).tolist()):
         groups.setdefault(label, []).append(sid)
     return [tuple(g) for g in groups.values()]
 

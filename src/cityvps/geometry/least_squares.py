@@ -29,13 +29,15 @@ gives V (3x3 per landmark), and its translation columns are minus W, the
 the landmarks (Schur complement): S = U - W V^-1 W^T. The 3x3 blocks of V
 are inverted in closed form, as adjugate over determinant. The W V^-1 W^T
 term is one stacked matmul of 6x3 by 3x6 blocks over the observation pairs
-of each landmark, summed into 6x6 camera blocks by a 0/1 matrix. S is
-scattered into upper band storage in a reverse Cuthill-McKee camera order,
-factored by a banded Cholesky, and the landmarks follow by
-back-substitution. On a street only nearby frames share landmarks, so S is
-banded and the cost grows linearly with the number of frames (Triggs et al.,
-"Bundle Adjustment - A Modern Synthesis"; Konolige, "Sparse Sparse Bundle
-Adjustment"; Agarwal et al., "Bundle Adjustment in the Large").
+of each landmark. Every per-camera, per-landmark and per-block total is a
+segment sum (``np.add.reduceat``) over rows sorted once per problem. S is
+scattered into upper band storage in a reverse Cuthill-McKee camera order
+(``graph.reverse_cuthill_mckee``), factored by a banded Cholesky, and the
+landmarks follow by back-substitution. On a street only nearby frames
+share landmarks, so S is banded and the cost grows linearly with the
+number of frames (Triggs et al., "Bundle Adjustment - A Modern Synthesis";
+Konolige, "Sparse Sparse Bundle Adjustment"; Agarwal et al., "Bundle
+Adjustment in the Large").
 
 Every solve stops by one rule: once an accepted step lowers the cost by
 less than ``REL_COST_TOL`` = 1e-6 of the new cost, the default
@@ -53,10 +55,9 @@ import enum
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
 from scipy.linalg import cho_solve_banded, cholesky_banded, get_lapack_funcs
-from scipy.sparse.csgraph import reverse_cuthill_mckee
 
+from .graph import reverse_cuthill_mckee
 from .robust import huber_loss_many, huber_weight_many
 
 
@@ -153,6 +154,35 @@ def numeric_jacobian(residual_fn, x, step=1e-7):
     return jac
 
 
+class _SegmentSum:
+    """Sums of the rows of an array per label.
+
+    Row k carries label ``labels[k]`` in 0..n-1. The rows are stable-sorted
+    by label once, unless they already run label by label, and each
+    label's run is summed by ``np.add.reduceat``. A label with no rows sums
+    to zero.
+    """
+
+    def __init__(self, labels, n: int):
+        labels = np.asarray(labels, dtype=np.intp)
+        self.n = n
+        self.order = None if (labels[1:] >= labels[:-1]).all() else np.argsort(labels, kind="stable")
+        counts = np.bincount(labels, minlength=n)
+        self.starts = (np.cumsum(counts) - counts)[counts > 0]
+        self.filled = None if self.starts.shape[0] == n else counts > 0
+
+    def __call__(self, rows) -> np.ndarray:
+        """(n, ...) sums of the (m, ...) `rows` per label."""
+        if self.order is not None:
+            rows = np.take(rows, self.order, axis=0)
+        sums = np.add.reduceat(rows, self.starts, axis=0) if self.starts.shape[0] else rows[:0]
+        if self.filled is None:
+            return sums
+        out = np.zeros((self.n,) + rows.shape[1:])
+        out[self.filled] = sums
+        return out
+
+
 class BlockStructure:
     """The fixed sparsity of a bundle-adjustment problem, computed once per problem.
 
@@ -160,14 +190,16 @@ class BlockStructure:
     `obs_land[k]` (3 parameters). Two observations of one landmark couple
     their cameras in the reduced camera system S = U - W V^-1 W^T. Holds:
 
-    - `cam_sum`, `land_sum`: 0/1 matrices that sum per-observation blocks
-      per camera and per landmark;
+    - `cam_sum`, `land_sum`: `_SegmentSum`s of per-observation blocks per
+      camera and per landmark. A camera with no observation, such as a
+      frame held by its priors alone, gets zero blocks;
     - `order`, `rank`: a reverse Cuthill-McKee order of the cameras on their
       covisibility graph (position -> camera, camera -> position). In it S
       has `bandwidth` camera blocks on each side of its diagonal;
     - `pair_i`, `pair_j`: the observation pairs (i, j) of one landmark whose
       cameras a, b have rank[a] <= rank[b], each adding W_i V^-1 W_j^T to
-      S[a, b]; `pair_sum` sums them per camera block;
+      S[a, b]. They run camera block by camera block, and `pair_sum` sums
+      them per block;
     - the upper band storage slots of those blocks and of U's diagonal blocks.
     """
 
@@ -175,10 +207,8 @@ class BlockStructure:
         self.obs_cam = np.asarray(obs_cam, dtype=np.intp)
         self.obs_land = np.asarray(obs_land, dtype=np.intp)
         self.n_cams, self.n_landmarks = n_cams, n_landmarks
-        n_obs = self.obs_cam.shape[0]
-        ones, obs = np.ones(n_obs), np.arange(n_obs)
-        self.cam_sum = sp.csr_matrix((ones, (self.obs_cam, obs)), shape=(n_cams, n_obs))
-        self.land_sum = sp.csr_matrix((ones, (self.obs_land, obs)), shape=(n_landmarks, n_obs))
+        self.cam_sum = _SegmentSum(self.obs_cam, n_cams)
+        self.land_sum = _SegmentSum(self.obs_land, n_landmarks)
 
         # Every ordered pair of observations of one landmark.
         by_land = np.argsort(self.obs_land, kind="stable")
@@ -190,8 +220,7 @@ class BlockStructure:
         pair_j = by_land[np.repeat(first, count) + offset]
         cam_i, cam_j = self.obs_cam[pair_i], self.obs_cam[pair_j]
 
-        covisible = sp.csr_matrix((np.ones(cam_i.shape[0]), (cam_i, cam_j)), shape=(n_cams, n_cams))
-        self.order = reverse_cuthill_mckee(covisible, symmetric_mode=True)
+        self.order = reverse_cuthill_mckee(n_cams, cam_i, cam_j)
         self.rank = np.empty(n_cams, dtype=np.intp)
         self.rank[self.order] = np.arange(n_cams)
         self.bandwidth = int(np.abs(self.rank[cam_i] - self.rank[cam_j]).max(initial=0))
@@ -200,12 +229,10 @@ class BlockStructure:
         self.kd = 6 * self.bandwidth + 5
 
         upper = self.rank[cam_i] <= self.rank[cam_j]
-        self.pair_i, self.pair_j = pair_i[upper], pair_j[upper]
         blocks, block_of_pair = np.unique(cam_i[upper] * n_cams + cam_j[upper], return_inverse=True)
-        n_pairs = self.pair_i.shape[0]
-        self.pair_sum = sp.csr_matrix(
-            (np.ones(n_pairs), (block_of_pair, np.arange(n_pairs))), shape=(blocks.shape[0], n_pairs)
-        )
+        by_block = np.argsort(block_of_pair, kind="stable")
+        self.pair_i, self.pair_j = pair_i[upper][by_block], pair_j[upper][by_block]
+        self.pair_sum = _SegmentSum(block_of_pair[by_block], blocks.shape[0])
         self.block_slots, self.block_entries = self._band_slots(blocks // n_cams, blocks % n_cams)
         self.diag_slots, self.diag_entries = self._band_slots(np.arange(n_cams), np.arange(n_cams))
 
@@ -357,14 +384,14 @@ class _BlockNormalEquations:
         hess = cam_t @ jac.cam  # (m, 6, 6)
         grad = (cam_t @ r_obs)[:, :, 0]  # (m, 6)
 
-        u = st.cam_sum @ hess.reshape(n_obs, 36)
-        g_cam = st.cam_sum @ grad
+        u = st.cam_sum(hess.reshape(n_obs, 36))
+        g_cam = st.cam_sum(grad)
         for block, block_t, r_block in zip(frame_rows, frame_rows_t, r_frame):
             u += (block_t @ block).reshape(n_cams, 36)
             g_cam += (block_t @ r_block)[:, :, 0]
         self.u = u.reshape(n_cams, 6, 6)
-        self.v = (st.land_sum @ hess[:, 3:, 3:].reshape(n_obs, 9)).reshape(-1, 3, 3)
-        self.g_cam, self.minus_g_land = g_cam, st.land_sum @ grad[:, 3:]
+        self.v = st.land_sum(hess[:, 3:, 3:].reshape(n_obs, 9)).reshape(-1, 3, 3)
+        self.g_cam, self.minus_g_land = g_cam, st.land_sum(grad[:, 3:])
         self.grad = np.concatenate([g_cam.ravel(), -self.minus_g_land.ravel()])
         # |W_ij| <= sqrt(U_ii V_jj), so W is finite when U and V are.
         if not (np.isfinite(self.u).all() and np.isfinite(self.v).all() and np.isfinite(self.grad).all()):
@@ -389,19 +416,19 @@ class _BlockNormalEquations:
         # np.take on axis 0 gathers blocks about twice as fast as fancy indexing.
         y = self.minus_w @ np.take(v_inv, st.obs_land, axis=0)  # -W_k V_mu^-1 per observation, (m, 6, 3)
         pairs = np.take(y, st.pair_i, axis=0) @ np.take(self.minus_w_t, st.pair_j, axis=0)
-        reduction = st.pair_sum @ pairs.reshape(-1, 36)  # W V_mu^-1 W^T, one row per camera block
+        reduction = st.pair_sum(pairs.reshape(-1, 36))  # W V_mu^-1 W^T, one row per camera block
         u = _damped(self.u, self.u_diag, mu)
         band = np.zeros((st.kd + 1, 6 * n_cams))
         band.reshape(-1)[st.block_slots] = -np.take(reduction, st.block_entries)
         band.reshape(-1)[st.diag_slots] += np.take(u, st.diag_entries)
 
         minus_g_land = np.take(self.minus_g_land, st.obs_land, axis=0)[:, :, None]
-        rhs = st.cam_sum @ (y @ minus_g_land)[:, :, 0] - self.g_cam
+        rhs = st.cam_sum((y @ minus_g_land)[:, :, 0]) - self.g_cam
         factor = cholesky_banded(band, overwrite_ab=True, lower=False, check_finite=False)
         step_cam = np.empty((n_cams, 6))
         step_cam[st.order] = cho_solve_banded((factor, False), rhs[st.order].ravel(), check_finite=False).reshape(-1, 6)
         minus_w_step = self.minus_w_t @ np.take(step_cam, st.obs_cam, axis=0)[:, :, None]
-        minus_back = self.minus_g_land + st.land_sum @ minus_w_step[:, :, 0]  # -(g_l + W^T step_camera)
+        minus_back = self.minus_g_land + st.land_sum(minus_w_step[:, :, 0])  # -(g_l + W^T step_camera)
         return np.concatenate([step_cam.ravel(), (v_inv @ minus_back[:, :, None]).ravel()])
 
 

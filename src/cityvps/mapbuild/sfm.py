@@ -34,7 +34,6 @@ is `gps_weight`, the rule fusion applies to the same fixes.
 from __future__ import annotations
 
 import numpy as np
-import scipy.sparse as sp
 
 from ..geometry import (
     BEHIND_RESIDUAL,
@@ -121,6 +120,20 @@ def gravity_aligned_base(gravity_body) -> np.ndarray:
 # Triangulation
 
 
+def _row_pairs(starts, m: int):
+    """Every pair of rows (i, j > i) within each run of `m` rows.
+
+    Run k holds rows ``starts[k]`` up to the next start, the last up to m.
+    Returns (i, j, first): the pairs of one run are contiguous, and row r's
+    pairs begin at ``first[r]``.
+    """
+    counts = np.diff(np.append(starts, m))
+    partners = np.repeat(starts + counts, counts) - np.arange(m) - 1
+    first = np.cumsum(partners) - partners
+    i = np.repeat(np.arange(m), partners)
+    return i, i + 1 + np.arange(i.size) - np.repeat(first, partners), first
+
+
 def triangulate_midpoints(origins, directions, starts):
     """Midpoints of many tracks' rays (origin, unit direction) at once.
 
@@ -135,14 +148,9 @@ def triangulate_midpoints(origins, directions, starts):
     directions = np.asarray(directions, dtype=float)
     starts = np.asarray(starts, dtype=int)
     m = origins.shape[0]
-    counts = np.diff(np.append(starts, m))
-    track = np.repeat(np.arange(starts.size), counts)
-    # Every ray pair (i, j > i) of a track; the pairs of one track are
-    # contiguous and each track has at least one.
-    partners = np.repeat(starts + counts, counts) - np.arange(m) - 1
-    first_pair = np.cumsum(partners) - partners
-    i = np.repeat(np.arange(m), partners)
-    j = i + 1 + np.arange(i.size) - np.repeat(first_pair, partners)
+    track = np.repeat(np.arange(starts.size), np.diff(np.append(starts, m)))
+    # Every ray pair of a track; each track has at least one.
+    i, j, first_pair = _row_pairs(starts, m)
     dots = np.clip(np.einsum("ij,ij->i", directions[i], directions[j]), -1.0, 1.0)
     max_angle = np.degrees(np.arccos(np.minimum.reduceat(dots, first_pair[starts])))
     ok = max_angle >= MIN_TRIANGULATION_ANGLE_DEG
@@ -170,6 +178,10 @@ class Observations:
     ``pixel[k]``, in track ``track[k]``. Rows run track by track in
     ascending id, each track's in the order of its observations.
     Observations of frames outside `frames_by_id` are left out.
+
+    Membership is looked up, not searched: `of` and `seen_from` mark the
+    given ids in a boolean table over the table's distinct track ids or
+    frame ids and read it at each row's slot.
     """
 
     def __init__(self, tracks, frames_by_id: dict):
@@ -181,14 +193,28 @@ class Observations:
         ]
         self.track, self.frame, self.index = np.array(rows, dtype=int).reshape(-1, 3).T.copy()
         self.pixel = np.array([frames_by_id[fid].pixels[oi] for _, fid, oi in rows]).reshape(-1, 2)
+        self._track_ids, self._track_slot = np.unique(self.track, return_inverse=True)
+        self._frame_ids, self._frame_slot = np.unique(self.frame, return_inverse=True)
 
     def of(self, track_ids):
         """Mask of the rows of the given tracks."""
-        return np.isin(self.track, list(track_ids))
+        return _member(self._track_ids, track_ids)[self._track_slot]
 
     def seen_from(self, poses):
         """Mask of the rows in the frames of `poses`."""
-        return np.isin(self.frame, list(poses))
+        return _member(self._frame_ids, poses)[self._frame_slot]
+
+
+def _member(table_ids, ids):
+    """Mask over the sorted `table_ids` of those among `ids` (an array, or any sized collection of ints)."""
+    if not isinstance(ids, np.ndarray):
+        ids = np.fromiter(ids, dtype=int, count=len(ids))
+    slot = np.searchsorted(table_ids, ids)
+    hit = slot < table_ids.size
+    hit[hit] = table_ids[slot[hit]] == ids[hit]
+    member = np.zeros(table_ids.size, dtype=bool)
+    member[slot[hit]] = True
+    return member
 
 
 def _registered_rows(obs: Observations, rows, poses: dict):
@@ -390,21 +416,24 @@ def _seed_yaw(obs: Observations, seed_a: int, levelled: dict, frames_by_id: dict
 def _seed_pair(obs: Observations, frames_by_id: dict):
     """(frame a, frame b, shared tracks) of the pair a < b sharing the most tracks.
 
-    Ties go to a pair within one experience, then to the lowest ids. The
-    counts are the upper triangle of AᵀA, with A the incidence of tracks on
-    frames.
+    Ties go to a pair within one experience, then to the lowest ids. Each
+    pair of one track's rows in two frames counts once for that frame
+    pair: the counts are the upper triangle of AᵀA, with A the incidence of
+    tracks on frames.
     """
     fids, cols = np.unique(obs.frame, return_inverse=True)
-    tids, rows = np.unique(obs.track, return_inverse=True)
-    incidence = sp.csr_matrix((np.ones(rows.size, dtype=int), (rows, cols)), shape=(tids.size, fids.size))
-    shared = sp.triu(incidence.T @ incidence, k=1).tocoo()
-    if shared.nnz == 0:
+    i, j, _ = _row_pairs(np.unique(obs.track, return_index=True)[1], obs.track.size)
+    a, b = np.minimum(cols[i], cols[j]), np.maximum(cols[i], cols[j])
+    distinct = a != b
+    codes, shared = np.unique(a[distinct] * fids.size + b[distinct], return_counts=True)
+    if codes.size == 0:
         raise InsufficientOverlap("no shared tracks")
+    col_a, col_b = np.divmod(codes, fids.size)
     experience = np.array([frames_by_id[fid].experience_id for fid in fids.tolist()])
-    fa, fb = fids[shared.row], fids[shared.col]
-    same_exp = experience[shared.row] == experience[shared.col]
-    best = np.lexsort((-fb, -fa, same_exp, shared.data))[-1]
-    return int(fa[best]), int(fb[best]), int(shared.data[best])
+    fa, fb = fids[col_a], fids[col_b]
+    same_exp = experience[col_a] == experience[col_b]
+    best = np.lexsort((-fb, -fa, same_exp, shared))[-1]
+    return int(fa[best]), int(fb[best]), int(shared[best])
 
 
 def build_submap(
@@ -418,7 +447,10 @@ def build_submap(
     Raises InsufficientOverlap when no frame pair shares enough tracks to
     seed, or the seed window gives no baseline, triangulates fewer than 4
     tracks or fails to refine. Non-converging optimization marks the
-    submap discarded rather than raising.
+    submap discarded rather than raising. A subset with fewer than
+    ``MIN_REGISTERED_FRACTION`` of its frames registered is discarded as
+    soon as registration ends, with its registered poses, no landmarks and
+    infinite RMSE and cost: step (4) could not register more.
     """
     frame_ids = [fid for fid in subset.all_ids() if fid in frames_by_id]
     if len(frame_ids) < 2:
@@ -532,27 +564,25 @@ def build_submap(
             failed.clear()
             since_ba = 0
 
-    # Re-triangulate everything from the final incremental poses.
-    points = triangulate_tracks(obs, obs.seen_from(poses), poses, camera)
-
     discard_reasons = []
-    if len(points) < MIN_LANDMARKS:
-        discard_reasons.append(f"only {len(points)} landmarks triangulated")
-        rmse = float("inf")
-        final_cost = float("inf")
+    rmse = final_cost = float("inf")
+    if len(poses) / max(1, len(frame_ids)) < MIN_REGISTERED_FRACTION:
+        # No later step registers a frame, so the verdict is in: the submap
+        # is discarded with its registered poses and no landmarks.
+        discard_reasons.append(f"registered {len(poses)}/{len(frame_ids)} frames")
+        points = {}
     else:
-        poses, points, result, rmse = bundle_adjust(poses, points, obs, frames_by_id, camera)
-        final_cost = result.cost
-        if not result.converged:
-            discard_reasons.append("bundle adjustment diverged")
-        if rmse > RMSE_MAX:
-            discard_reasons.append(f"reprojection rmse {rmse:.2f} px exceeds {RMSE_MAX}")
-
-    registered_fraction = len(poses) / max(1, len(frame_ids))
-    if registered_fraction < MIN_REGISTERED_FRACTION:
-        discard_reasons.append(
-            f"registered {len(poses)}/{len(frame_ids)} frames"
-        )
+        # Re-triangulate everything from the final incremental poses.
+        points = triangulate_tracks(obs, obs.seen_from(poses), poses, camera)
+        if len(points) < MIN_LANDMARKS:
+            discard_reasons.append(f"only {len(points)} landmarks triangulated")
+        else:
+            poses, points, result, rmse = bundle_adjust(poses, points, obs, frames_by_id, camera)
+            final_cost = result.cost
+            if not result.converged:
+                discard_reasons.append("bundle adjustment diverged")
+            if rmse > RMSE_MAX:
+                discard_reasons.append(f"reprojection rmse {rmse:.2f} px exceeds {RMSE_MAX}")
 
     track_ids = sorted(points)
     descriptors = []

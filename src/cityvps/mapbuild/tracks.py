@@ -3,9 +3,8 @@
 from __future__ import annotations
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse.csgraph import connected_components
 
+from ..geometry.graph import components
 from .types import Track
 
 DEFAULT_MATCH_THRESHOLD = 0.24  # 3x default descriptor noise scale
@@ -79,9 +78,8 @@ def build_tracks(
         ends_b.append(offsets[partners[k]] + jb - starts[k])
     none = [np.empty(0, dtype=np.intp)]
     ends_a, ends_b = np.concatenate(none + ends_a), np.concatenate(none + ends_b)
-    matches = sp.csr_matrix((np.ones(ends_a.shape[0]), (ends_a, ends_b)), shape=(total, total))
     # Components are labelled in the order of their lowest observation.
-    _, component = connected_components(matches, directed=False)
+    component = components(total, ends_a, ends_b)
 
     # An observation's frame (position in frame_ids) and index within it.
     frame_of = np.repeat(np.arange(len(frames)), counts)

@@ -6,9 +6,13 @@ it. The number of LM iterations a pass takes is a function of its inputs
 alone: this test runs one city-turns pass on the benchmark's own inputs
 (``perfbench.scenarios``) and bounds the iterations that bundle adjustment
 (``sfm.solve_least_squares``) and fusion (``fusion.solve_least_squares``)
-take. The bounds leave room above the counts they guard (BA 185, fusion
+take. The bounds leave room above the counts they guard (BA 171, fusion
 16) for rounding that differs between hosts, and sit well below the counts
 of solves started off their GPS gauge (BA 307, fusion 86).
+
+The same pass counts final bundle adjustments, the ones run without an
+iteration cap: one per built subset. A subset that registers too few of its
+frames is discarded before its final one.
 """
 
 from cityvps import fusion
@@ -36,6 +40,15 @@ def test_city_turns_pass_stays_within_its_lm_iterations(monkeypatch):
 
     spy(sfm)
     spy(fusion)
+    final_adjustments = 0
+    bundle_adjust = sfm.bundle_adjust
+
+    def final_counted(*args, max_iterations=None, **kwargs):
+        nonlocal final_adjustments
+        final_adjustments += max_iterations is None
+        return bundle_adjust(*args, max_iterations=max_iterations, **kwargs)
+
+    monkeypatch.setattr(sfm, "bundle_adjust", final_counted)
     tracer = Tracer(False)
     ledger = metrics.Ledger()
     result = workloads.mapbuild_pass(city_turns(1, tracer), tracer, ledger, workloads._city_subsets)
@@ -44,3 +57,4 @@ def test_city_turns_pass_stays_within_its_lm_iterations(monkeypatch):
     assert (ledger.attempted, ledger.failed) == (9, 4)
     assert iterations[sfm] <= BA_ITERATIONS_MAX
     assert iterations[fusion] <= FUSION_ITERATIONS_MAX
+    assert final_adjustments == len(result.built)

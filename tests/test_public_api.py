@@ -4,11 +4,15 @@ Every name a subpackage lists in ``__all__`` must be bound where it claims
 to come from, and no module of the package or of its tests may import a
 name it neither uses nor re-exports: dead imports are how deleted API
 creeps back. Every console
-script that ``pyproject.toml`` declares must resolve to a callable.
+script that ``pyproject.toml`` declares must resolve to a callable. Map
+building must not load SciPy's sparse matrix package.
 """
 
 import ast
 import importlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -119,3 +123,16 @@ def test_console_scripts_resolve():
     for name, target in project.get("scripts", {}).items():
         module, _, attr = target.partition(":")
         assert callable(getattr(importlib.import_module(module), attr, None)), f"{name} = {target!r}"
+
+
+def test_map_building_loads_no_sparse_matrix_module():
+    # Resident memory differs between hosts and numpy builds; which modules
+    # an import loads does not. SciPy's sparse package costs about 5 MB.
+    code = (
+        "import sys, cityvps.geometry, cityvps.mapbuild, cityvps.fusion; "
+        "print(sorted(m for m in sys.modules if m == 'scipy.sparse' or m.startswith('scipy.sparse.')))"
+    )
+    path = os.pathsep.join(filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env)
+    assert out.stdout.strip() == "[]"

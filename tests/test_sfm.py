@@ -162,8 +162,11 @@ class TestNoise:
 
 
 class TestBundleAdjustInternals:
-    def make_problem(self, seed=0, behind_camera=False, pixel_sigma=None):
+    def make_problem(self, seed=0, behind_camera=False, pixel_sigma=None, prior_only=False):
         """Four frames and twelve landmarks with GPS and gravity rows.
+
+        With `prior_only` the last frame observes nothing and is held by its
+        GPS and gravity rows alone.
 
         `behind_camera` appends a thirteenth landmark seen only by frame 0,
         from behind, so its Jacobian columns are all zero. With `pixel_sigma`
@@ -191,6 +194,8 @@ class TestBundleAdjustInternals:
             x[6 * fi + 3 : 6 * fi + 6] = gps[fi] + rng.normal(scale=0.5, size=3)
         for ti in track_ids:
             x[6 * n_frames + 3 * ti : 6 * n_frames + 3 * ti + 3] = points[ti]
+        if prior_only:
+            observations = [o for o in observations if o[0] != n_frames - 1]
         if behind_camera:
             observations.append((0, n_points, rng.uniform(0, 500, size=2)))
             track_ids.append(n_points)
@@ -266,8 +271,8 @@ class TestBundleAdjustInternals:
         return np.linalg.solve(hess + mu * np.diag(diag), -jw.T @ (sw * r))
 
     @pytest.mark.parametrize("mu", [1e-4, 10.0])
-    def test_schur_step_matches_dense_step(self, mu):
-        problem, x = self.make_problem(behind_camera=True)
+    def test_schur_step_matches_dense_step(self, mu, prior_only=False):
+        problem, x = self.make_problem(behind_camera=True, prior_only=prior_only)
         jac, r = problem.jacobian(x), problem.residuals(x)
         dense = jac.toarray()
         assert not dense[:, -3:].any() and dense[:, -6:-3].any()
@@ -277,6 +282,12 @@ class TestBundleAdjustInternals:
         for jac in (jac, dense):
             step = _normal_equations(jac, r, _row_weights(r, robust)).step(mu)
             assert np.linalg.norm(step - reference) <= 1e-9 * np.linalg.norm(reference)
+
+    @pytest.mark.parametrize("mu", [1e-4, 10.0])
+    def test_schur_step_with_a_prior_only_frame(self, mu):
+        # A frame that observes nothing gets zero observation blocks and is
+        # solved by its priors, as a frame with a prior-only pose is.
+        self.test_schur_step_matches_dense_step(mu, prior_only=True)
 
     @pytest.mark.parametrize("mu", [1e-4, 10.0])
     def test_banded_step_in_reordered_cameras(self, mu):
@@ -839,6 +850,26 @@ class TestObservationTable:
                 sfm._seed_pair(obs, frames_by_id)
         else:
             assert sfm._seed_pair(obs, frames_by_id) == expected
+
+    @given(
+        st.dictionaries(st.integers(0, 9), st.sets(st.integers(0, 5), min_size=1), max_size=8),
+        st.sets(st.integers(-3, 12)),
+        st.sets(st.integers(-3, 12)),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_membership_equals_isin(self, frames_of_track, track_ids, frame_keys):
+        # Frame 5 is outside frames_by_id, so its observations are left out
+        # of the table; asked-for ids may be absent from it.
+        frames_by_id = {10 * k + 3: SimpleNamespace(pixels=np.zeros((1, 2))) for k in range(5)}
+        tracks = [Track(tid, [(10 * k + 3, 0) for k in sorted(ks)]) for tid, ks in frames_of_track.items()]
+        obs = Observations(tracks, frames_by_id)
+        frame_ids = [10 * k + 3 for k in frame_keys]
+
+        expected = np.isin(obs.track, list(track_ids))
+        assert np.array_equal(obs.of(track_ids), expected)
+        assert np.array_equal(obs.of(dict.fromkeys(track_ids)), expected)
+        assert np.array_equal(obs.of(np.array(sorted(track_ids), dtype=int)), expected)
+        assert np.array_equal(obs.seen_from(dict.fromkeys(frame_ids)), np.isin(obs.frame, frame_ids))
 
     def test_triangulate_tracks_over_a_mask_matches_per_track_reference(self):
         poses, _, tracks_by_id, frames_by_id = TestBundleAdjustInternals.truth_started_street(150.0)

@@ -207,3 +207,36 @@ def test_landmark_inverse_raises_unless_every_determinant_is_positive(singular):
     blocks[2] = singular
     with pytest.raises(np.linalg.LinAlgError):
         least_squares._symmetric_inverse(blocks)
+
+
+@given(st.integers(1, 12), st.integers(1, 20), st.integers(1, 80), seeds, st.booleans())
+@settings(max_examples=200, deadline=None)
+def test_block_structure_sums_equal_dense_products(n_cams, n_landmarks, n_obs, seed, by_landmark):
+    # Bundle adjustment sums its per-observation and per-pair blocks by
+    # segments; the reference is the 0/1 summation matrix times the blocks.
+    # Camera 0 has no observation, like a frame held by its priors alone.
+    rng = np.random.default_rng(seed)
+    obs_cam = rng.integers(1, n_cams, size=n_obs) if n_cams > 1 else np.zeros(0, dtype=int)
+    obs_land = rng.integers(0, n_landmarks, size=obs_cam.size)
+    if by_landmark:  # the rows of a bundle-adjustment problem run landmark by landmark
+        obs_land = np.sort(obs_land)
+    structure = least_squares.BlockStructure(obs_cam, obs_land, n_cams, n_landmarks)
+
+    def dense_sum(labels, n, blocks):
+        return (np.arange(n)[:, None] == labels[None, :]).astype(float) @ blocks
+
+    for sums, labels, n in ((structure.cam_sum, obs_cam, n_cams), (structure.land_sum, obs_land, n_landmarks)):
+        blocks = rng.normal(size=(labels.size, 36))
+        assert np.allclose(sums(blocks), dense_sum(labels, n, blocks), rtol=0.0, atol=1e-12)
+    assert not structure.cam_sum(np.ones((obs_cam.size, 6)))[0].any()
+
+    rank = structure.rank
+    expected_pairs = [
+        (i, j) for i in range(obs_cam.size) for j in range(obs_cam.size)
+        if obs_land[i] == obs_land[j] and rank[obs_cam[i]] <= rank[obs_cam[j]]
+    ]
+    assert sorted(zip(structure.pair_i.tolist(), structure.pair_j.tolist())) == expected_pairs
+    codes = obs_cam[structure.pair_i] * n_cams + obs_cam[structure.pair_j]
+    blocks, block_of_pair = np.unique(codes, return_inverse=True)
+    pairs = rng.normal(size=(codes.size, 36))
+    assert np.allclose(structure.pair_sum(pairs), dense_sum(block_of_pair, blocks.size, pairs), rtol=0.0, atol=1e-12)
