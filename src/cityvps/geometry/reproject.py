@@ -1,4 +1,4 @@
-"""The reprojection and gravity model shared by registration, window scoring and BA.
+"""The reprojection and gravity model shared by registration and BA.
 
 Pose parameters are [rotvec (3), translation (3)] with the pose mapping
 camera coordinates to world coordinates, so a world point projects through
@@ -11,12 +11,13 @@ producing non-finite values.
 pixels, their dpixel/dx_cam blocks and validity; the simulator's
 observations go through it too. ``project_observations``,
 ``observation_residuals``, ``observation_blocks`` and ``gravity_rows`` are
-the one observation model over a set of cameras: seed window scoring
-evaluates its residuals once per window (``reprojection_rows``), and bundle
-adjustment adds its GPS rows to them. One projection serves both the
-residuals and the Jacobian blocks of its point. A residual sees its point
-only through X - t, so ``observation_blocks`` returns the 2x6 camera blocks
-alone: the 2x3 point block is minus their translation half.
+the one observation model over a set of cameras: registration counts a
+pose's inliers from its residuals (``reprojection_errors``, through
+``reprojection_rows``), and bundle adjustment adds its GPS rows to them.
+One projection serves both the residuals and the Jacobian blocks of its
+point. A residual sees its point only through X - t, so
+``observation_blocks`` returns the 2x6 camera blocks alone: the 2x3 point
+block is minus their translation half.
 
 Single-pose refinement (``PoseModel``) is the one-camera case with its
 points held fixed. With a single camera there is nothing to gather per

@@ -24,9 +24,9 @@ def skew(v):
     return np.array([[0.0, -z, y], [z, 0.0, -x], [-y, x, 0.0]])
 
 
-def _angle(rotvec) -> float:
-    """np.linalg.norm of a 3-vector, without its dispatch."""
-    return math.sqrt(rotvec.dot(rotvec))
+def _norm(v) -> float:
+    """np.linalg.norm of a 1-D array, without its dispatch."""
+    return math.sqrt(v.dot(v))
 
 
 def batch_skew(v: np.ndarray) -> np.ndarray:
@@ -54,7 +54,7 @@ def _series_terms(rotvecs):
 def exp(rotvec):
     """Rodrigues map from a rotation vector to a 3x3 rotation matrix."""
     rotvec = np.asarray(rotvec, dtype=float)
-    angle = _angle(rotvec)
+    angle = _norm(rotvec)
     k = skew(rotvec)
     k2 = k @ k
     if angle < _SMALL_ANGLE:
@@ -109,7 +109,7 @@ def log(matrix):
 def right_jacobian(rotvec):
     """J_r such that exp(v + d) = exp(v) exp(J_r(v) d) for small d."""
     rotvec = np.asarray(rotvec, dtype=float)
-    angle = _angle(rotvec)
+    angle = _norm(rotvec)
     k = skew(rotvec)
     k2 = k @ k
     if angle < _SMALL_ANGLE:
@@ -131,7 +131,7 @@ def right_jacobian_many(rotvecs):
 
 def right_jacobian_inv(rotvec):
     rotvec = np.asarray(rotvec, dtype=float)
-    angle = float(np.linalg.norm(rotvec))
+    angle = _norm(rotvec)
     k = skew(rotvec)
     k2 = k @ k
     if angle < _SMALL_ANGLE:
@@ -143,7 +143,7 @@ def right_jacobian_inv(rotvec):
 
 def quat_normalize(q):
     q = np.asarray(q, dtype=float)
-    n = float(np.linalg.norm(q))
+    n = _norm(q)
     if n == 0.0:
         raise ValueError("zero quaternion")
     q = q / n
@@ -209,7 +209,7 @@ def matrix_to_quat(matrix):
 
 def quat_from_rotvec(rotvec):
     rotvec = np.asarray(rotvec, dtype=float)
-    angle = float(np.linalg.norm(rotvec))
+    angle = _norm(rotvec)
     if angle < _SMALL_ANGLE:
         q = np.array([1.0, 0.5 * rotvec[0], 0.5 * rotvec[1], 0.5 * rotvec[2]])
         return quat_normalize(q)

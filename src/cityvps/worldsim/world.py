@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -145,12 +146,16 @@ def generate_world_from_streets(streets, config: WorldConfig, seed: int) -> Worl
                 offsets.sort()
                 lateral = side * (street.width / 2.0) + rng.normal(0.0, 0.3, size=count)
                 heights = rng.uniform(zmin, zmax, size=count)
-                for along, lat, z in zip(offsets, lateral, heights):
-                    xy = a + direction * along + normal * lat
-                    descriptor = rng.normal(0.0, 1.0, size=config.descriptor_dim)
-                    landmarks.append(Landmark(next_id, np.array([xy[0], xy[1], z]), descriptor))
-                    dir_vec = rng.normal(0.0, 1.0, size=config.descriptor_dim)
-                    condition_dirs[next_id] = dir_vec / np.linalg.norm(dir_vec)
+                # Per landmark a descriptor, then a condition direction: one
+                # block of draws reads the stream in that order.
+                draws = rng.normal(0.0, 1.0, size=(count, 2, config.descriptor_dim))
+                descriptors = draws[:, 0].copy()  # the landmarks keep no view of the directions
+                xy = a + direction * offsets[:, None] + normal * lateral[:, None]
+                positions = np.column_stack([xy, heights])
+                for position, descriptor, dir_vec in zip(positions, descriptors, draws[:, 1]):
+                    landmarks.append(Landmark(next_id, position, descriptor))
+                    # np.linalg.norm of one vector, without its dispatch.
+                    condition_dirs[next_id] = dir_vec / math.sqrt(dir_vec.dot(dir_vec))
                     next_id += 1
     bias_phases = rng.uniform(0.0, 2.0 * np.pi, size=4)
     return World(

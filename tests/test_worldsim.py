@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
-from cityvps.geometry import project
+from cityvps.geometry import GRAVITY_WORLD, Pose, camera_projection, project, so3
 from cityvps.worldsim import (
+    FRAME_ID_STRIDE,
     BadConfig,
     NoiseConfig,
     Oracle,
@@ -16,8 +17,10 @@ from cityvps.worldsim import (
     corrupt_observations,
     generate_world,
     generate_world_from_streets,
+    route_path,
     simulate_experience,
 )
+from cityvps.worldsim.experience import _camera_orientation, _resample_path
 
 
 def single_street_world(length=200.0, density=50.0, seed=7):
@@ -179,6 +182,200 @@ class TestSimulateExperience:
             assert np.array_equal(f1.gps, f2.gps)
             assert np.array_equal(f1.pixels, f2.pixels)
             assert np.array_equal(f1.descriptors, f2.descriptors)
+
+
+def grid_world():
+    return generate_world(WorldConfig(extent_x=200.0, extent_y=200.0, landmarks_per_100m=30), seed=3)
+
+
+GRID_ROUTE = ["h1", "v1", "h2"]
+
+
+def test_canyon_gps_bias_is_a_function_of_position():
+    # With white GPS noise off, a frame's GPS is its true position plus the
+    # world's urban-canyon bias there, whichever experience records it.
+    world = grid_world()
+    amplitude = NoiseConfig().canyon_amplitude
+    assert amplitude > 0.0
+    noise = NoiseConfig(gps_sigma=0.0)
+    first, second = (
+        simulate_experience(world, GRID_ROUTE, experience_id=k, noise=noise, seed=seed)
+        for k, seed in ((1, 0), (2, 5))
+    )
+    biases = []
+    for f1, f2 in zip(first.frames, second.frames, strict=True):
+        t = f1.true_pose.t
+        assert np.array_equal(t, f2.true_pose.t)
+        bias = world.gps_bias(t, amplitude, noise.canyon_wavelength)
+        assert np.array_equal(f1.gps, np.concatenate([t + bias, [0.0]]))
+        assert np.array_equal(f2.gps, f1.gps)
+        biases.append(bias)
+    biases = np.array(biases)
+    assert np.all(np.abs(biases[:, :2]) <= amplitude)
+    assert np.all(np.abs(biases[:, 2]) <= 0.3 * amplitude)
+    # The bias varies along the route: it is a field, not one offset.
+    assert np.ptp(biases[:, 0]) > 0.2 * amplitude
+
+
+def reference_world_landmarks(streets, config, seed):
+    """(position, descriptor, condition direction) per landmark, drawn one landmark at a time."""
+    rng = np.random.default_rng(seed)
+    out = []
+    zmin, zmax = config.landmark_height_range
+    for sid in sorted(streets):
+        street = streets[sid]
+        poly = street.polyline
+        for a, b in zip(poly[:-1], poly[1:]):
+            seg = b - a
+            seg_len = float(np.linalg.norm(seg))
+            if seg_len == 0.0:
+                continue
+            direction = seg / seg_len
+            normal = np.array([-direction[1], direction[0]])
+            count = int(round(config.landmarks_per_100m * seg_len / 100.0))
+            for side in (-1.0, 1.0):
+                offsets = rng.uniform(0.0, seg_len, size=count)
+                offsets.sort()
+                lateral = side * (street.width / 2.0) + rng.normal(0.0, 0.3, size=count)
+                heights = rng.uniform(zmin, zmax, size=count)
+                for along, lat, z in zip(offsets, lateral, heights):
+                    xy = a + direction * along + normal * lat
+                    descriptor = rng.normal(0.0, 1.0, size=config.descriptor_dim)
+                    dir_vec = rng.normal(0.0, 1.0, size=config.descriptor_dim)
+                    out.append((np.array([xy[0], xy[1], z]), descriptor, dir_vec / np.linalg.norm(dir_vec)))
+    return out
+
+
+def _reference_small_rotation(rng, sigma_rad):
+    if sigma_rad == 0.0:
+        return np.eye(3)
+    axis = rng.normal(size=3)
+    axis /= np.linalg.norm(axis)
+    return so3.exp(axis * rng.normal(0.0, sigma_rad))
+
+
+def reference_frames(world, route, *, experience_id, condition_value, noise, platform, sim, seed):
+    """Frame fields of an experience, simulated one frame at a time against every landmark."""
+    rng = np.random.default_rng([seed, experience_id])
+    speed = sim.resolved_speed(platform)
+    pts, headings, _ = _resample_path(route_path(world, route), speed / sim.frame_rate)
+    if platform == "pedestrian":
+        normals = np.column_stack([-np.sin(headings), np.cos(headings)])
+        pts = pts + sim.sidewalk_side * sim.sidewalk_offset * normals
+    height = sim.resolved_height(platform)
+    camera = sim.camera
+    lm_pos = world.landmark_positions()
+    lm_desc = world.landmark_descriptors()
+    lm_ids = np.array([lm.id for lm in world.landmarks])
+    cond_offsets = None
+    if condition_value != 0.0:
+        cond_offsets = np.array(
+            [world.condition_offset(int(i), condition_value, noise.condition_offset) for i in lm_ids]
+        )
+    yaw_amp = np.deg2rad(sim.yaw_amplitude_deg)
+    ins_sigma = np.deg2rad(noise.ins_rot_noise_deg)
+    frames = []
+    prev_rotation = None
+    for k in range(len(pts)):
+        yaw = headings[k] + (yaw_amp if k % 2 == 0 else -yaw_amp)
+        rotation = _camera_orientation(headings[k]) if yaw_amp == 0.0 else _camera_orientation(yaw)
+        position = np.array([pts[k][0], pts[k][1], height])
+        rel = lm_pos - position
+        cam_pts = rel @ rotation
+        near = (np.linalg.norm(rel, axis=1) <= sim.max_obs_distance) & (cam_pts[:, 2] > 0.05)
+        pix = np.full((len(rel), 2), np.nan)
+        pix[near] = camera_projection(cam_pts[near], camera)[0]
+        visible = (
+            near
+            & (pix[:, 0] >= 0.0)
+            & (pix[:, 0] < camera.width)
+            & (pix[:, 1] >= 0.0)
+            & (pix[:, 1] < camera.height)
+        )
+        vis_idx = np.flatnonzero(visible)
+        if noise.dropout > 0.0 and len(vis_idx):
+            vis_idx = vis_idx[rng.random(len(vis_idx)) >= noise.dropout]
+        vis_idx = vis_idx[rng.permutation(len(vis_idx))]
+        pixels = pix[vis_idx] + rng.normal(0.0, noise.pixel_sigma, size=(len(vis_idx), 2))
+        descs = lm_desc[vis_idx].copy()
+        if cond_offsets is not None:
+            descs += cond_offsets[vis_idx]
+        if noise.descriptor_sigma > 0.0 and len(vis_idx):
+            dim = descs.shape[1]
+            descs += rng.normal(0.0, noise.descriptor_sigma / np.sqrt(dim), size=descs.shape)
+        gps = position + world.gps_bias(position, noise.canyon_amplitude, noise.canyon_wavelength)
+        if noise.gps_sigma > 0.0:
+            gps = gps + rng.normal(0.0, noise.gps_sigma, size=3)
+        gps = np.concatenate([gps, [noise.gps_sigma]])
+        gravity_meas = _reference_small_rotation(rng, ins_sigma) @ (rotation.T @ GRAVITY_WORLD)
+        if prev_rotation is None:
+            rel_rot = np.array([1.0, 0.0, 0.0, 0.0])
+        else:
+            rel_rot = so3.matrix_to_quat(prev_rotation.T @ rotation @ _reference_small_rotation(rng, ins_sigma))
+        prev_rotation = rotation
+        pose = Pose.from_matrix(rotation, position)
+        frames.append(
+            {
+                "frame_id": experience_id * FRAME_ID_STRIDE + k,
+                "timestamp": k / sim.frame_rate,
+                "gps": gps,
+                "ins_gravity": gravity_meas,
+                "ins_rel_rot": rel_rot,
+                "pixels": pixels,
+                "descriptors": descs,
+                "landmark_ids": lm_ids[vis_idx],
+                "q": pose.q,
+                "t": pose.t,
+            }
+        )
+    return frames
+
+
+def same_bytes(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestBitIdenticalInputs:
+    """The batched simulator reproduces the one-landmark, one-frame-at-a-time loops byte for byte."""
+
+    def test_world_landmarks(self):
+        world = grid_world()
+        reference = reference_world_landmarks(world.streets, world.config, world.seed)
+        assert len(world.landmarks) == len(reference) > 500
+        for lm, (position, descriptor, direction) in zip(world.landmarks, reference):
+            assert same_bytes(lm.position, position)
+            assert same_bytes(lm.descriptor, descriptor)
+            assert same_bytes(world.condition_dirs[lm.id], direction)
+
+    @pytest.mark.parametrize(
+        "condition_value, noise, platform, sim",
+        [
+            (0.0, NoiseConfig(), "vehicle", SimConfig()),
+            (1.0, NoiseConfig(), "vehicle", SimConfig()),
+            (0.0, NoiseConfig(dropout=0.3), "pedestrian", SimConfig()),
+            (0.0, NoiseConfig(), "vehicle", SimConfig(yaw_amplitude_deg=0.0)),
+        ],
+        ids=["day", "night", "pedestrian-dropout", "no-yaw"],
+    )
+    def test_frames(self, condition_value, noise, platform, sim):
+        world = grid_world()
+        kwargs = dict(
+            experience_id=4, condition_value=condition_value, noise=noise, platform=platform, sim=sim, seed=9
+        )
+        experience = simulate_experience(world, GRID_ROUTE, **kwargs)
+        reference = reference_frames(world, GRID_ROUTE, **kwargs)
+        assert len(experience.frames) == len(reference) > 16
+        observed = 0
+        for frame, ref in zip(experience.frames, reference):
+            assert frame.frame_id == ref["frame_id"] and frame.timestamp == ref["timestamp"]
+            assert frame.condition_value == condition_value
+            for name in ("gps", "ins_gravity", "ins_rel_rot", "pixels", "descriptors", "landmark_ids"):
+                assert same_bytes(getattr(frame, name), ref[name]), name
+            assert same_bytes(frame.true_pose.q, ref["q"])
+            assert same_bytes(frame.true_pose.t, ref["t"])
+            observed += frame.n_observations
+        assert observed > 10 * len(reference)
 
 
 class TestOracle:
