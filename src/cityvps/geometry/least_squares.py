@@ -1,4 +1,4 @@
-"""Damped Gauss-Newton (Levenberg-Marquardt) solver with a banded reduced camera system.
+"""Damped Gauss-Newton (Levenberg-Marquardt) solver with a block-tridiagonal reduced camera system.
 
 The residual vector may carry a robustified prefix: the first
 ``n_blocks * block_size`` rows are grouped into fixed-size blocks whose
@@ -9,16 +9,16 @@ recorded cost history is non-increasing by construction.
 The block norms of each evaluated residual vector are computed once and
 serve both its cost and, once it is accepted, its IRLS weights.
 
-The solver dispatches on the Jacobian's type. A dense ndarray (single-pose
-refinement, fusion, the central-difference Jacobian of ``jacobian=None``)
-is solved whole: H = J^T J is damped and Cholesky-factored by LAPACK
-``potrf`` and ``potrs`` called directly. These are the routines
-``scipy.linalg.cho_factor`` and ``cho_solve`` call, so the steps are the
-same to the bit. On a 6x6 registration system the wrappers' argument
-handling was most of a damped step: 25 us through them, 7-9 us without.
+The solver dispatches on the Jacobian's type, and needs numpy alone. A
+dense ndarray (single-pose refinement, fusion, the central-difference
+Jacobian of ``jacobian=None``) is solved whole: H = J^T J is damped, a
+Cholesky factorisation (``np.linalg.cholesky``) tells whether it is
+positive definite, and ``np.linalg.solve`` gives the step. numpy has no
+triangular solve, so the factor itself goes unused; both are backward
+stable on these systems. A damped 6x6 registration step takes about 14 us.
 
 A ``BlockJacobian`` (bundle adjustment) keeps its block structure from the
-Jacobian through to the factorisation. It holds one 2x6 camera block per
+Jacobian through to the solve. It holds one 2x6 camera block per
 observation and no landmark block: a reprojection residual depends on its
 point only through X - t, so its 2x3 landmark block is exactly minus the
 translation half of its camera block. The normal equations therefore come
@@ -29,15 +29,25 @@ gives V (3x3 per landmark), and its translation columns are minus W, the
 the landmarks (Schur complement): S = U - W V^-1 W^T. The 3x3 blocks of V
 are inverted in closed form, as adjugate over determinant. The W V^-1 W^T
 term is one stacked matmul of 6x3 by 3x6 blocks over the observation pairs
-of each landmark. Every per-camera, per-landmark and per-block total is a
-segment sum (``np.add.reduceat``) over rows sorted once per problem. S is
-scattered into upper band storage in a reverse Cuthill-McKee camera order
-(``graph.reverse_cuthill_mckee``), factored by a banded Cholesky, and the
-landmarks follow by back-substitution. On a street only nearby frames
-share landmarks, so S is banded and the cost grows linearly with the
-number of frames (Triggs et al., "Bundle Adjustment - A Modern Synthesis";
-Konolige, "Sparse Sparse Bundle Adjustment"; Agarwal et al., "Bundle
-Adjustment in the Large").
+of each landmark, into arrays the problem's ``BlockStructure`` allocates
+once. Every per-camera, per-landmark and per-block total is a segment sum
+(``np.add.reduceat``) over rows sorted once per problem.
+
+S is solved in a reverse Cuthill-McKee camera order
+(``graph.reverse_cuthill_mckee``), in which it has ``bandwidth`` camera
+blocks on each side of its diagonal. Cut into chunks of ``bandwidth``
+consecutive cameras, S is block tridiagonal: a camera couples only with
+cameras at most ``bandwidth`` positions away, so no chunk couples with a
+chunk beyond its neighbours. Eliminating the chunks in order (block
+Gaussian elimination, Golub and Van Loan, "Matrix Computations") then
+costs one LU solve and one product of 6b x 6b chunks per chunk of b
+cameras, and S is positive definite exactly when every pivot chunk is, which
+one stacked Cholesky factorisation checks. On a street only nearby frames
+share landmarks, so the bandwidth stays small and the cost grows linearly
+with the number of frames (Triggs et al., "Bundle Adjustment - A Modern
+Synthesis"; Konolige, "Sparse Sparse Bundle Adjustment"; Agarwal et al.,
+"Bundle Adjustment in the Large"). On the 74-frame BA of the benchmark's
+street (bandwidth 6: 13 chunks of 36 x 36) a damped step takes 2-3 ms.
 
 Every solve stops by one rule: once an accepted step lowers the cost by
 less than ``REL_COST_TOL`` = 1e-6 of the new cost, the default
@@ -55,7 +65,6 @@ import enum
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import cho_solve_banded, cholesky_banded, get_lapack_funcs
 
 from .graph import reverse_cuthill_mckee
 from .robust import huber_loss_many, huber_weight_many
@@ -200,7 +209,17 @@ class BlockStructure:
       cameras a, b have rank[a] <= rank[b], each adding W_i V^-1 W_j^T to
       S[a, b]. They run camera block by camera block, and `pair_sum` sums
       them per block;
-    - the upper band storage slots of those blocks and of U's diagonal blocks.
+    - the layout of S as block-tridiagonal chunks: `chunk` = max(1,
+      bandwidth) consecutive cameras of the order per chunk, `n_chunks` of
+      them, the last padded with identity rows. A camera couples only with
+      cameras at most `bandwidth` positions away, so a chunk couples only
+      with the chunks next to it. The chunks live in one (2 n_chunks - 1,
+      6 chunk, 6 chunk) array: the diagonal chunks D_k first, then the
+      couplings F_k = S[chunk k, chunk k + 1]. `block_slots`,
+      `diag_slots` and `pad_slots` say where the pair blocks, U's diagonal
+      blocks and the padding's unit diagonal go in it;
+    - the arrays a damped step fills: `y_pairs`, `w_pairs` and their
+      products `pair_products`, one per pair, and `chunks`.
     """
 
     def __init__(self, obs_cam, obs_land, n_cams: int, n_landmarks: int):
@@ -224,29 +243,64 @@ class BlockStructure:
         self.rank = np.empty(n_cams, dtype=np.intp)
         self.rank[self.order] = np.arange(n_cams)
         self.bandwidth = int(np.abs(self.rank[cam_i] - self.rank[cam_j]).max(initial=0))
-        # Upper band storage of the permuted S (cholesky_banded, lower=False):
-        # its entry (i, j), i <= j, sits at band[kd + i - j, j].
-        self.kd = 6 * self.bandwidth + 5
+        self.chunk = max(1, self.bandwidth)
+        self.n_chunks = -(-n_cams // self.chunk)
 
         upper = self.rank[cam_i] <= self.rank[cam_j]
         blocks, block_of_pair = np.unique(cam_i[upper] * n_cams + cam_j[upper], return_inverse=True)
         by_block = np.argsort(block_of_pair, kind="stable")
         self.pair_i, self.pair_j = pair_i[upper][by_block], pair_j[upper][by_block]
         self.pair_sum = _SegmentSum(block_of_pair[by_block], blocks.shape[0])
-        self.block_slots, self.block_entries = self._band_slots(blocks // n_cams, blocks % n_cams)
-        self.diag_slots, self.diag_entries = self._band_slots(np.arange(n_cams), np.arange(n_cams))
+        self.block_slots, self.block_entries = self._chunk_slots(blocks // n_cams, blocks % n_cams)
+        self.diag_slots, self.diag_entries = self._chunk_slots(np.arange(n_cams), np.arange(n_cams))
+        size = 6 * self.chunk
+        padding = np.arange(6 * n_cams, size * self.n_chunks) - size * (self.n_chunks - 1)
+        self.pad_slots = ((self.n_chunks - 1) * size + padding) * size + padding
+        # Filled afresh by every damped step: the gathered pair stacks, their
+        # products and the chunks of S. Reused, they cost no page faults.
+        n_pairs = self.pair_i.shape[0]
+        self.y_pairs, self.w_pairs = np.empty((n_pairs, 6, 3)), np.empty((n_pairs, 3, 6))
+        self.pair_products = np.empty((n_pairs, 6, 6))
+        self.chunks = np.empty((2 * self.n_chunks - 1, size, size))
 
-    def _band_slots(self, cams_a, cams_b):
-        """Where the stored entries of the 6x6 blocks S[a_k, b_k] go in band storage.
+    def _chunk_slots(self, cams_a, cams_b):
+        """Where the entries of the 6x6 blocks S[a_k, b_k], rank[a_k] <= rank[b_k], go in the chunks.
 
-        An entry is stored when it lies on or above the diagonal of the
-        permuted S. Returns (flat band index, flat index into the (k, 6, 6)
+        A block inside one diagonal chunk is stored with its mirror image
+        below the diagonal, a block across two chunks in their coupling.
+        Returns (flat index into the chunks, flat index into the (k, 6, 6)
         stack of blocks) of each stored entry.
         """
-        i = 6 * self.rank[cams_a][:, None, None] + np.arange(6)[:, None]
-        j = 6 * self.rank[cams_b][:, None, None] + np.arange(6)
-        stored = (i <= j).ravel()
-        return ((self.kd + i - j) * (6 * self.n_cams) + j).ravel()[stored], np.flatnonzero(stored)
+        pos_a, pos_b = self.rank[cams_a], self.rank[cams_b]
+        chunk_a, chunk_b = pos_a // self.chunk, pos_b // self.chunk
+        inside = chunk_a == chunk_b
+        index = np.where(inside, chunk_a, self.n_chunks + chunk_a)[:, None, None]
+        size = 6 * self.chunk
+        i = 6 * (pos_a % self.chunk)[:, None, None] + np.arange(6)[:, None]
+        j = 6 * (pos_b % self.chunk)[:, None, None] + np.arange(6)
+        entries = np.arange(36 * pos_a.shape[0]).reshape(-1, 6, 6)
+        mirror = inside & (pos_a < pos_b)
+        slots = [(index * size + i) * size + j, (index[mirror] * size + j[mirror]) * size + i[mirror]]
+        return np.concatenate([s.ravel() for s in slots]), np.concatenate([entries.ravel(), entries[mirror].ravel()])
+
+    def solve_reduced(self, reduction, u, rhs):
+        """The camera step x of S x = rhs, S = u - reduction, solved in chunks.
+
+        `reduction` holds one flattened 6x6 block per camera block of
+        `pair_sum`, `u` the (n_cams, 6, 6) diagonal blocks and `rhs` is
+        (n_cams, 6). Raises LinAlgError unless S is positive definite.
+        """
+        chunks = self.chunks
+        chunks.fill(0.0)
+        flat = chunks.reshape(-1)
+        flat[self.block_slots] = -np.take(reduction, self.block_entries)
+        flat[self.diag_slots] += np.take(u, self.diag_entries)
+        flat[self.pad_slots] = 1.0
+        padded = np.zeros((self.n_chunks * self.chunk, 6))
+        padded[: self.n_cams] = rhs[self.order]
+        x = np.empty_like(rhs)
+        x[self.order] = _solve_block_tridiagonal(chunks, padded.reshape(self.n_chunks, -1)).reshape(-1, 6)[: self.n_cams]
+        return x
 
 
 @dataclass
@@ -284,18 +338,9 @@ def _floored(diag):
     return diag
 
 
-_potrf, _potrs = get_lapack_funcs(("potrf", "potrs"), dtype=np.float64)
-
-
 def _cholesky(a):
-    """Upper Cholesky factor of symmetric `a`, as scipy.linalg.cho_factor computes it.
-
-    Raises LinAlgError when `a` is not positive definite.
-    """
-    c, info = _potrf(a, lower=False, overwrite_a=True, clean=False)
-    if info > 0:
-        raise np.linalg.LinAlgError(f"{info}-th leading minor of the array is not positive definite")
-    return c
+    """Lower Cholesky factor of symmetric `a`; raises LinAlgError when `a` is not positive definite."""
+    return np.linalg.cholesky(a)
 
 
 class _DenseNormalEquations:
@@ -316,11 +361,16 @@ class _DenseNormalEquations:
         self.diag = _floored(self.hess.diagonal())
 
     def step(self, mu: float) -> np.ndarray:
-        """Solve (H + mu diag(d)) step = -g; raises LinAlgError if it fails to factor."""
+        """Solve (H + mu diag(d)) step = -g; raises LinAlgError if it is not positive definite.
+
+        numpy has no triangular solve, so the Cholesky factorisation is the
+        positive-definiteness test and an LU solve gives the step: on these
+        symmetric positive definite systems both are backward stable.
+        """
         s = self.hess.copy()
         s.reshape(-1)[:: s.shape[0] + 1] += mu * self.diag
-        # potrs only reports illegal arguments, which these shapes rule out.
-        return _potrs(_cholesky(s), -self.grad, lower=False)[0]
+        _cholesky(s)
+        return np.linalg.solve(s, -self.grad)
 
 
 def _damped(blocks, diag, mu: float):
@@ -403,33 +453,55 @@ class _BlockNormalEquations:
         self.v_diag = _floored(np.diagonal(self.v, axis1=1, axis2=2))
 
     def step(self, mu: float) -> np.ndarray:
-        """Solve (H + mu diag(H)) step = -g; raises LinAlgError if V or S fails to factor.
+        """Solve (H + mu diag(H)) step = -g; raises LinAlgError unless V and S are positive definite.
 
         The landmark blocks are eliminated first: S = U_mu - W V_mu^-1 W^T
-        goes into upper band storage in the structure's camera order and is
-        Cholesky-factored there for the camera step; then each landmark's
-        step is V_mu^-1 (-g_l - W^T step_camera).
+        goes into block-tridiagonal chunks in the structure's camera order
+        and is solved there for the camera step (``_solve_block_tridiagonal``);
+        then each landmark's step is V_mu^-1 (-g_l - W^T step_camera).
         """
         st = self.structure
-        n_cams = st.n_cams
         v_inv = _symmetric_inverse(_damped(self.v, self.v_diag, mu))
         # np.take on axis 0 gathers blocks about twice as fast as fancy indexing.
         y = self.minus_w @ np.take(v_inv, st.obs_land, axis=0)  # -W_k V_mu^-1 per observation, (m, 6, 3)
-        pairs = np.take(y, st.pair_i, axis=0) @ np.take(self.minus_w_t, st.pair_j, axis=0)
-        reduction = st.pair_sum(pairs.reshape(-1, 36))  # W V_mu^-1 W^T, one row per camera block
-        u = _damped(self.u, self.u_diag, mu)
-        band = np.zeros((st.kd + 1, 6 * n_cams))
-        band.reshape(-1)[st.block_slots] = -np.take(reduction, st.block_entries)
-        band.reshape(-1)[st.diag_slots] += np.take(u, st.diag_entries)
-
+        np.take(y, st.pair_i, axis=0, out=st.y_pairs)
+        np.take(self.minus_w_t, st.pair_j, axis=0, out=st.w_pairs)
+        np.matmul(st.y_pairs, st.w_pairs, out=st.pair_products)
+        reduction = st.pair_sum(st.pair_products.reshape(-1, 36))  # W V_mu^-1 W^T, one row per camera block
         minus_g_land = np.take(self.minus_g_land, st.obs_land, axis=0)[:, :, None]
         rhs = st.cam_sum((y @ minus_g_land)[:, :, 0]) - self.g_cam
-        factor = cholesky_banded(band, overwrite_ab=True, lower=False, check_finite=False)
-        step_cam = np.empty((n_cams, 6))
-        step_cam[st.order] = cho_solve_banded((factor, False), rhs[st.order].ravel(), check_finite=False).reshape(-1, 6)
+        step_cam = st.solve_reduced(reduction, _damped(self.u, self.u_diag, mu), rhs)
         minus_w_step = self.minus_w_t @ np.take(step_cam, st.obs_cam, axis=0)[:, :, None]
         minus_back = self.minus_g_land + st.land_sum(minus_w_step[:, :, 0])  # -(g_l + W^T step_camera)
         return np.concatenate([step_cam.ravel(), (v_inv @ minus_back[:, :, None]).ravel()])
+
+
+def _solve_block_tridiagonal(chunks, rhs):
+    """Solve S x = rhs for symmetric S held as K block-tridiagonal chunks; overwrites both.
+
+    `chunks` holds the diagonal chunks D_0..D_{K-1}, then the couplings
+    F_k = S[chunk k, chunk k + 1]; `rhs` is (K, n). Eliminating chunk k
+    touches chunk k + 1 alone: D_{k+1} -= F_k^T D_k^-1 F_k, and the same
+    on the right-hand side, one LU solve and one product of n x n chunks
+    per chunk. S is positive definite if and only if every pivot chunk D_k
+    left by the elimination is, which one stacked Cholesky factorisation
+    checks before the back-substitution x_k = D_k^-1 (r_k - F_k x_{k+1}).
+    Raises LinAlgError when S is not positive definite.
+    """
+    n_chunks = rhs.shape[0]
+    diag, couplings = chunks[:n_chunks], chunks[n_chunks:]
+    solved = []  # [D_k^-1 F_k | D_k^-1 r_k]
+    for k in range(n_chunks - 1):
+        solved.append(np.linalg.solve(diag[k], np.column_stack([couplings[k], rhs[k]])))
+        update = couplings[k].T @ solved[k]
+        diag[k + 1] -= update[:, :-1]
+        rhs[k + 1] -= update[:, -1]
+    np.linalg.cholesky(diag)  # LinAlgError unless every pivot chunk is positive definite
+    x = np.empty_like(rhs)
+    x[-1] = np.linalg.solve(diag[-1], rhs[-1])
+    for k in range(n_chunks - 2, -1, -1):
+        x[k] = solved[k][:, -1] - solved[k][:, :-1] @ x[k + 1]
+    return x
 
 
 def _normal_equations(jac, r, row_w):
@@ -454,10 +526,11 @@ def solve_least_squares(residual_fn, x0, jacobian=None, *, robust=None, max_iter
 
     `jacobian` returns a dense ndarray or a BlockJacobian. A dense Jacobian
     is solved whole. A BlockJacobian's landmarks are eliminated on each
-    damped step, and only the reduced camera system is factored, by a banded
-    Cholesky in the structure's reverse Cuthill-McKee camera order. The
-    Jacobian is evaluated once per iteration; a failed factorisation raises
-    the damping like a rejected step.
+    damped step, and only the reduced camera system is solved, as
+    block-tridiagonal chunks of `bandwidth` cameras in the structure's
+    reverse Cuthill-McKee camera order. The Jacobian is evaluated once per
+    iteration; a damped system that is not positive definite raises the
+    damping like a rejected step.
 
     Returns a SolveResult whose ``termination`` says which stop ended the
     solve; ``converged`` is False only when the iteration budget ran out

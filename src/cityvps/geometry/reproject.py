@@ -7,7 +7,7 @@ camera get a large constant residual with zero Jacobian: trial steps that
 push points behind the camera raise the cost and get rejected instead of
 producing non-finite values.
 
-``camera_projection`` is the one projection kernel: camera-frame points to
+``camera_projection`` is the projection kernel: camera-frame points to
 pixels, their dpixel/dx_cam blocks and validity; the simulator's
 observations go through it too. ``project_observations``,
 ``observation_residuals``, ``observation_blocks`` and ``gravity_rows`` are
@@ -20,16 +20,18 @@ point. A residual sees its point only through X - t, so
 block is minus their translation half.
 
 Single-pose refinement (``PoseModel``) is the one-camera case with its
-points held fixed. With a single camera there is nothing to gather per
-point: it projects (X - t) R through ``camera_projection`` and forms its
-Jacobian as two (2n,3) by (3,3) products, the same numbers that
-``observation_blocks`` gives over camera indices that are all zero. It and
-bundle adjustment project once per LM point: Levenberg-Marquardt asks for
-the Jacobian at the point whose residuals it has just accepted, so each
-model keeps the projection of the last point it evaluated
-(``LastEvaluation``) and its Jacobian reuses it only at that same point,
-compared byte for byte; anywhere else it projects afresh. The reuse changes
-no number.
+points held fixed, and the one model with its own projection: registration
+evaluates it about ten times per frame, so it skips what a single camera
+does not need. There is nothing to gather per point: it projects (X - t) R with
+one reciprocal depth per point, and forms its Jacobian's reprojection rows
+in closed form in camera coordinates, turned into ``observation_blocks``'
+rows by one (n,9) by (9,12) product; tests hold it to the shared model's
+numbers. It and bundle adjustment project once per LM point:
+Levenberg-Marquardt asks for the Jacobian at the point whose residuals it
+has just accepted, so each model keeps the projection of the last point it
+evaluated (``LastEvaluation``) and its Jacobian reuses it only at that
+same point, compared byte for byte; anywhere else it projects afresh. The
+reuse changes no number.
 """
 
 from __future__ import annotations
@@ -142,40 +144,73 @@ class LastEvaluation:
         return self._value
 
 
+def _pose_block(u, v, one, uu, uv, vv, u_z, v_z, inv_z):
+    """d(u, v)/d[rotation, xc] of one point in camera coordinates, u = x/z and v = y/z.
+
+    Linear in its arguments, the monomials of the point: `one` is 1.
+    """
+    return [[uv, -(one + uu), v, inv_z, 0.0, -u_z], [one + vv, -uv, -u, 0.0, inv_z, -v_z]]
+
+
+# Row k holds the 2x6 coefficients of monomial k in _pose_block, flattened.
+_POSE_ROW_TERMS = np.array([_pose_block(*unit) for unit in np.eye(9)]).reshape(18, 6)
+
+
 class PoseModel:
     """Reprojection and gravity rows of one pose against fixed world points.
 
     Parameters are [rotvec, t]. With one camera there is nothing to gather:
-    the points project as (X - t) R, one row each, and the Jacobian's
-    reprojection rows are ``observation_blocks``' as two (2n,3) by (3,3)
-    products. Residuals and Jacobian at one pose share its rotation and
-    projection (``LastEvaluation``).
+    the points project as (X - t) R, one row each, through one reciprocal
+    depth 1/z. The Jacobian's reprojection rows are formed in closed form
+    in camera coordinates (``_pose_block``), and a product with
+    f blockdiag(-J_r, R^T) turns them into the rows ``observation_blocks``
+    gives. Both products are one matmul: the (n, 9) monomials of the points
+    by their (9, 12) coefficients times that (6, 6) matrix.
+    Residuals and Jacobian at one pose share its rotation and projection
+    (``LastEvaluation``).
     """
 
     def __init__(self, points_world, pixels, camera: Camera, gravity_meas, gravity_sqrtw: float):
         self.points, self.pixels, self.camera = points_world, pixels, camera
         self.gravity, self.gravity_sqrtw = gravity_meas, gravity_sqrtw
+        self._center = np.array([camera.cx, camera.cy])
         self._project = LastEvaluation(self._projection)
 
     def _projection(self, p):
+        """The rotation, the Jacobian's monomials and the residuals at `p`."""
         # The scalar so3 helpers: on one pose the batched ones cost twice as much.
         rot = so3.exp(p[:3])
         # (X - t) R, row by row: R^T (X - t) summed in project_observations' order.
         xc = np.einsum("ji,nj->ni", rot, self.points - p[3:])
-        return rot, (xc, *camera_projection(xc, self.camera))
+        z = xc[:, 2]
+        valid = z > MIN_DEPTH
+        inv_z = 1.0 / np.where(valid, z, 1.0)
+        terms = np.empty((xc.shape[0], 9))  # the monomials of _pose_block
+        np.multiply(xc[:, :2], inv_z[:, None], out=terms[:, :2])
+        terms[:, 2] = 1.0
+        np.multiply(terms[:, :2], terms[:, :1], out=terms[:, 3:5])
+        np.multiply(terms[:, 1], terms[:, 1], out=terms[:, 5])
+        np.multiply(terms[:, :3], inv_z[:, None], out=terms[:, 6:])
+        r = self.pixels - (self.camera.focal * terms[:, :2] + self._center)
+        if not valid.all():
+            r[~valid] = BEHIND_RESIDUAL
+            terms[~valid] = 0.0
+        rows = np.concatenate([r.ravel(), gravity_rows(rot[None], self.gravity, self.gravity_sqrtw).ravel()])
+        return rot, terms, rows
 
     def residuals(self, p):
-        rot, projection = self._project(p)
-        r = observation_residuals(projection, self.pixels)
-        return np.concatenate([r.ravel(), gravity_rows(rot[None], self.gravity, self.gravity_sqrtw).ravel()])
+        return self._project(p)[2]
 
     def jacobian(self, p):
-        rot, (xc, _, a, _) = self._project(p)
+        rot, terms, _ = self._project(p)
         jr = so3.right_jacobian(p[:3])
-        rows = 2 * xc.shape[0]
+        f = self.camera.focal
+        to_params = np.zeros((6, 6))
+        to_params[:3, :3] = -f * jr
+        to_params[3:, 3:] = f * rot.T
+        rows = 2 * terms.shape[0]
         jac = np.empty((rows + 3, 6))
-        jac[:rows, :3] = -((a @ so3.batch_skew(xc)).reshape(rows, 3) @ jr)
-        jac[:rows, 3:] = a.reshape(rows, 3) @ rot.T
+        np.matmul(terms, (_POSE_ROW_TERMS @ to_params).reshape(9, 12), out=jac[:rows].reshape(-1, 12))
         jac[rows:] = gravity_rows(rot[None], self.gravity, self.gravity_sqrtw, jr[None])[0]
         return jac
 

@@ -5,7 +5,9 @@ to w >= 0 so serialized rotations are byte-stable. Rotation vectors (axis
 times angle, radians) are the tangent-space parameterization used by all
 solvers; `exp`/`log` use series expansions below 1e-8 rad to stay finite.
 `exp_many` and `right_jacobian_many` are `exp` and `right_jacobian` over
-(n, 3) stacks of rotation vectors, with the same series branch.
+(n, 3) stacks of rotation vectors, with the same series branch. On one
+vector, `exp` and `right_jacobian` compute their nine entries with `math`:
+there numpy's cost per call outweighs the arithmetic.
 """
 
 from __future__ import annotations
@@ -15,8 +17,6 @@ import math
 import numpy as np
 
 _SMALL_ANGLE = 1e-8
-_EYE = np.eye(3)
-_EYE.flags.writeable = False
 
 
 def skew(v):
@@ -51,17 +51,32 @@ def _series_terms(rotvecs):
     return k, k @ k, np.where(small, 1.0, angle), small
 
 
+def _rotvec_terms(rotvec):
+    """The entries x, y, z of one rotation vector, their squares and its angle."""
+    x, y, z = np.asarray(rotvec, dtype=float).tolist()
+    xx, yy, zz = x * x, y * y, z * z
+    return x, y, z, xx, yy, zz, math.sqrt(xx + yy + zz)
+
+
+def _identity_plus(x, y, z, xx, yy, zz, s, c):
+    """I + s K + c K^2 of K = skew([x, y, z]), entry by entry: K^2 = v v^T - |v|^2 I."""
+    xy, xz, yz = c * x * y, c * x * z, c * y * z
+    sx, sy, sz = s * x, s * y, s * z
+    return np.array(
+        [
+            [1.0 - c * (yy + zz), xy - sz, xz + sy],
+            [xy + sz, 1.0 - c * (xx + zz), yz - sx],
+            [xz - sy, yz + sx, 1.0 - c * (xx + yy)],
+        ]
+    )
+
+
 def exp(rotvec):
     """Rodrigues map from a rotation vector to a 3x3 rotation matrix."""
-    rotvec = np.asarray(rotvec, dtype=float)
-    angle = _norm(rotvec)
-    k = skew(rotvec)
-    k2 = k @ k
+    x, y, z, xx, yy, zz, angle = _rotvec_terms(rotvec)
     if angle < _SMALL_ANGLE:
-        return _EYE + k + 0.5 * k2
-    s = np.sin(angle) / angle
-    c = (1.0 - np.cos(angle)) / (angle * angle)
-    return _EYE + s * k + c * k2
+        return _identity_plus(x, y, z, xx, yy, zz, 1.0, 0.5)
+    return _identity_plus(x, y, z, xx, yy, zz, math.sin(angle) / angle, (1.0 - math.cos(angle)) / (angle * angle))
 
 
 def exp_many(rotvecs):
@@ -108,16 +123,12 @@ def log(matrix):
 
 def right_jacobian(rotvec):
     """J_r such that exp(v + d) = exp(v) exp(J_r(v) d) for small d."""
-    rotvec = np.asarray(rotvec, dtype=float)
-    angle = _norm(rotvec)
-    k = skew(rotvec)
-    k2 = k @ k
+    x, y, z, xx, yy, zz, angle = _rotvec_terms(rotvec)
     if angle < _SMALL_ANGLE:
-        return _EYE - 0.5 * k + k2 / 6.0
-    a2 = angle * angle
-    c1 = 2.0 * (np.sin(0.5 * angle) / angle) ** 2  # (1 - cos a) / a^2 without cancellation
-    c2 = (angle - np.sin(angle)) / (a2 * angle)
-    return _EYE - c1 * k + c2 * k2
+        return _identity_plus(x, y, z, xx, yy, zz, -0.5, 1.0 / 6.0)
+    c1 = 2.0 * (math.sin(0.5 * angle) / angle) ** 2  # (1 - cos a) / a^2 without cancellation
+    c2 = (angle - math.sin(angle)) / (angle * angle * angle)
+    return _identity_plus(x, y, z, xx, yy, zz, -c1, c2)
 
 
 def right_jacobian_many(rotvecs):

@@ -261,7 +261,7 @@ def triangulate_track(track: Track, poses: dict, frames_by_id: dict, camera: Cam
 
 
 # ---------------------------------------------------------------------------
-# Bundle adjustment (block Jacobian; landmarks eliminated, banded reduced camera system factored)
+# Bundle adjustment (block Jacobian; landmarks eliminated, reduced camera system solved in chunks)
 
 
 class _BAProblem:

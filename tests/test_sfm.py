@@ -7,7 +7,6 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-import scipy.linalg
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -388,14 +387,15 @@ class TestBundleAdjustInternals:
 
     def test_failed_banded_factorisation_raises_damping(self, monkeypatch):
         factorisations = []
+        solve_block_tridiagonal = least_squares._solve_block_tridiagonal
 
-        def cholesky_banded(ab, **kwargs):
-            factorisations.append(ab.shape)
+        def failing_solve(chunks, rhs):
+            factorisations.append(chunks.shape)
             if len(factorisations) == 1:
                 raise np.linalg.LinAlgError("not positive definite")
-            return scipy.linalg.cholesky_banded(ab, **kwargs)
+            return solve_block_tridiagonal(chunks, rhs)
 
-        monkeypatch.setattr(least_squares, "cholesky_banded", cholesky_banded)
+        monkeypatch.setattr(least_squares, "_solve_block_tridiagonal", failing_solve)
         poses, points, tracks_by_id, frames_by_id = self.truth_started_street(150.0)
         obs = Observations(tracks_by_id.values(), frames_by_id)
         _, _, result, rmse = bundle_adjust(poses, points, obs, frames_by_id, CAMERA)
