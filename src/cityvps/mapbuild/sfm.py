@@ -5,15 +5,16 @@ most tracks and a window of nearby frames, placed at their GPS fixes with
 attitudes known from gravity and the INS chain up to one yaw, solved in
 closed form from the window's baselines; (2) midpoint-triangulating the
 shared tracks; (3) registering the remaining frames in covisibility order,
-each refined by a robust single-pose solve (a frame with no registered
-frame of its own experience takes its yaw in closed form from its
-matches); (4) re-triangulating everything and running a full bundle
-adjustment that jointly minimizes robust reprojection error and the GPS
-prior on camera positions. Every bundle adjustment, of the seed, during
-registration and the final one, starts in its GPS gauge: the poses and
-points are first moved by the closed-form yaw, scale and shift that fit the
-cameras to their fixes (`umeyama_yaw`), so its iterations go to the map's
-shape.
+each started from its own measured gravity and the closed-form yaw that
+turns its matches' rays onto their bearings from its GPS fix, a frame of
+any experience alike, then refined by a robust single-pose solve and
+accepted by one inlier gate; (4) re-triangulating everything and running a
+full bundle adjustment that jointly minimizes robust reprojection error and
+the GPS prior on camera positions. Every bundle adjustment, of the seed,
+during registration and the final one, starts in its GPS gauge: the poses
+and points are first moved by the closed-form yaw, scale and shift that fit
+the cameras to their fixes (`umeyama_yaw`), so its iterations go to the
+map's shape.
 
 The subset's tracks are flattened once into an `Observations` table: per
 observation its track, frame, index in the frame and pixel, track by track
@@ -78,8 +79,8 @@ MIN_REGISTERED_FRACTION = 0.5
 MIN_LANDMARKS = 10
 PERIODIC_BA_EVERY = 8
 # While fewer than this many frames are registered the map's scale still
-# hangs on very few GPS fixes: the inlier gate is loosened and a bundle
-# adjustment runs after every registration so new fixes correct it.
+# hangs on very few GPS fixes: a bundle adjustment runs after every
+# registration so new fixes correct it.
 EARLY_PHASE_FRAMES = 8
 BA_MAX_ITERATIONS = 100
 
@@ -461,15 +462,11 @@ def build_submap(
         raise InsufficientOverlap(f"best pair shares {best_count} tracks")
 
     fa, fb = frames_by_id[seed_a], frames_by_id[seed_b]
-    base_a = gravity_aligned_base(fa.ins_gravity)
-    # Each experience's frames in time order and its INS orientation chain,
-    # for the seed window and for registration inits.
-    exp_frames = {
-        eid: sorted((f for f in frames_by_id.values() if f.experience_id == eid), key=lambda f: f.timestamp)
-        for eid in {frames_by_id[fid].experience_id for fid in frame_ids} | {fa.experience_id}
-    }
-    chains = {eid: ins_orientation_chain(frames) for eid, frames in exp_frames.items()}
-    exp_frames_a = exp_frames[fa.experience_id]
+    # The seed experience's frames in time order and its INS orientation
+    # chain, which levels the seed window up to one yaw.
+    exp_frames_a = sorted((f for f in frames_by_id.values() if f.experience_id == fa.experience_id),
+                          key=lambda f: f.timestamp)
+    chain = ins_orientation_chain(exp_frames_a)
 
     # Seed window: the pair plus nearby frames of its experience. GPS noise
     # on a short two-frame baseline is enough to fold two-view geometry into
@@ -485,7 +482,7 @@ def build_submap(
     for f in neighbors[: max(0, SEED_WINDOW - len(window_ids))]:
         window_ids.add(f.frame_id)
 
-    chain = chains[fa.experience_id]
+    base_a = gravity_aligned_base(fa.ins_gravity)
     levelled = {
         fid: base_a @ (chain[seed_a].T @ chain[fid])
         for fid in sorted(window_ids)
@@ -528,26 +525,15 @@ def build_submap(
         pts3d = np.array([points[tid] for tid in obs.track[matches].tolist()])
         pix = obs.pixel[matches]
 
-        # Initial rotation: INS chain from the nearest registered frame of the
-        # same experience, else gravity and the yaw that turns the matches'
-        # rays onto their bearings from the GPS fix.
-        chain = chains[frame.experience_id]
-        ref = min(
-            (other for other in poses if frames_by_id[other].experience_id == frame.experience_id),
-            key=lambda other: abs(frames_by_id[other].timestamp - frame.timestamp),
-            default=None,
-        )
-        if ref is not None:
-            rot = poses[ref].rotation @ (chain[ref].T @ chain[fid])
-        else:
-            base = gravity_aligned_base(frame.ins_gravity)
-            rot = so3.yaw_matrix(_yaw_between(camera.rays(pix) @ base.T, pts3d - frame.gps[:3])) @ base
-
+        # Initial rotation, alike for a frame of any experience: its gravity,
+        # and the yaw that turns its matches' rays onto their bearings from
+        # its GPS fix.
+        base = gravity_aligned_base(frame.ins_gravity)
+        rot = so3.yaw_matrix(_yaw_between(camera.rays(pix) @ base.T, pts3d - frame.gps[:3])) @ base
         early = len(poses) < EARLY_PHASE_FRAMES
-        inlier_px = REGISTER_INLIER_PX * (3.0 if early else 1.0)
         init = Pose.from_matrix(rot, frame.gps[:3])
         pose, _, _ = refine_pose(pts3d, pix, camera, init, frame.ins_gravity, GRAVITY_SQRTW, HUBER_DELTA_PX)
-        if (reprojection_errors(pose, pts3d, pix, camera) < inlier_px).sum() < MIN_REGISTER_MATCHES:
+        if (reprojection_errors(pose, pts3d, pix, camera) < REGISTER_INLIER_PX).sum() < MIN_REGISTER_MATCHES:
             failed[fid] = count
             continue
         poses[fid] = pose

@@ -231,8 +231,8 @@ def simulate_experience(
     lm_ids = np.array([lm.id for lm in world.landmarks], dtype=int)
     cond_offsets = None
     if condition_value != 0.0 and len(world.landmarks):
-        dirs = np.array([world.condition_dirs[i] for i in lm_ids.tolist()])
-        cond_offsets = dirs * (condition_value * noise.condition_offset)  # World.condition_offset of every landmark
+        # World.condition_offset of every landmark.
+        cond_offsets = world.condition_dirs * (condition_value * noise.condition_offset)
     visible = _visible_landmarks(lm_pos, np.array(rotations), positions, sim)
 
     frames = []

@@ -73,9 +73,9 @@ class World:
     landmarks: list
     seed: int
     config: WorldConfig
-    # Unit direction per landmark id for condition-dependent descriptor
-    # offsets; a pure function of (world, landmark id).
-    condition_dirs: dict = field(default_factory=dict)
+    # (N, descriptor_dim) unit directions for condition-dependent descriptor
+    # offsets, row i for landmark i; a pure function of (world, landmark id).
+    condition_dirs: np.ndarray = field(default_factory=lambda: np.zeros((0, 0)))
     # Phases of the smooth urban-canyon GPS bias field.
     bias_phases: np.ndarray = field(default_factory=lambda: np.zeros(4))
 
@@ -127,7 +127,7 @@ def generate_world_from_streets(streets, config: WorldConfig, seed: int) -> Worl
     config.validate()
     rng = np.random.default_rng(seed)
     landmarks = []
-    condition_dirs = {}
+    condition_dirs = []
     zmin, zmax = config.landmark_height_range
     next_id = 0
     for sid in sorted(streets):
@@ -155,7 +155,7 @@ def generate_world_from_streets(streets, config: WorldConfig, seed: int) -> Worl
                 for position, descriptor, dir_vec in zip(positions, descriptors, draws[:, 1]):
                     landmarks.append(Landmark(next_id, position, descriptor))
                     # np.linalg.norm of one vector, without its dispatch.
-                    condition_dirs[next_id] = dir_vec / math.sqrt(dir_vec.dot(dir_vec))
+                    condition_dirs.append(dir_vec / math.sqrt(dir_vec.dot(dir_vec)))
                     next_id += 1
     bias_phases = rng.uniform(0.0, 2.0 * np.pi, size=4)
     return World(
@@ -163,7 +163,7 @@ def generate_world_from_streets(streets, config: WorldConfig, seed: int) -> Worl
         landmarks=landmarks,
         seed=seed,
         config=config,
-        condition_dirs=condition_dirs,
+        condition_dirs=np.array(condition_dirs).reshape(-1, config.descriptor_dim),
         bias_phases=bias_phases,
     )
 

@@ -634,7 +634,9 @@ class TestClosedFormYaw:
 
         The subset is experience 1 with frames 10-11 of experience 2
         borrowed; they are the seed pair, so the first experience-1 frame
-        has no registered frame of its own experience.
+        has no registered frame of its own experience. Every registration
+        calls `_yaw_between`, after the seed's one call; the first of them
+        is that frame's, and its start is already exact.
         """
         world = street_world()
         exp1 = simulate_experience(world, ["main"], experience_id=1, noise=NoiseConfig.zero(),
@@ -662,8 +664,8 @@ class TestClosedFormYaw:
         assert sfm._seed_pair(Observations(tracks, frames_by_id), frames_by_id)[:2] == tuple(borrowed)
         submap = build_submap(subset, tracks, frames_by_id, CAMERA)
 
-        # One call seeds; the next gives the yaw of the first frame of
-        # experience 1, and its start is already exact.
+        # One call seeds; the next gives the yaw of the first registered
+        # frame, of experience 1.
         assert len(yaws) >= 2
         oracle = Oracle.from_experiences([exp1, exp2])
         init = next(init for n, init in inits if n == 2)
@@ -675,6 +677,44 @@ class TestClosedFormYaw:
             assert np.degrees(np.linalg.norm(so3.log(truth.rotation.T @ pose.rotation))) < 1e-6, fid
             assert np.linalg.norm(pose.t - truth.t) < 1e-6, fid
         assert verify_submap(submap, frames_by_id).passed
+
+    def test_registration_starts_do_not_read_the_ins_chain(self, monkeypatch):
+        """Zero noise, but every frame more than 6 ids from the seed pair reports a wrong 0.3 rad INS turn.
+
+        The seed window lies within 6 ids of the pair and keeps its true
+        relative rotations. Every registration starts from its own gravity
+        and the closed-form yaw of its matches, so each start is exact.
+        """
+        world = street_world()
+        exp = simulate_experience(world, ["main"], experience_id=1, noise=NoiseConfig.zero(),
+                                  sim=SimConfig(speed=6.0), seed=0)
+        frames_by_id = {f.frame_id: f for f in exp.frames}
+        [subset] = split_experience(exp)
+        tracks = build_tracks(subset, frames_by_id)
+        seed_pair = sfm._seed_pair(Observations(tracks, frames_by_id), frames_by_id)[:2]
+        wrong_turn = so3.quat_from_rotvec(np.array([0.0, 0.3, 0.0]))
+        far = {f.frame_id for f in exp.frames if min(abs(f.frame_id - s) for s in seed_pair) > 6}
+        for fid in far:
+            frames_by_id[fid].ins_rel_rot = wrong_turn.copy()
+        inits = []
+        refine_pose = sfm.refine_pose
+
+        def refine_spy(points, pixels, camera, init, *args):
+            inits.append(init)
+            return refine_pose(points, pixels, camera, init, *args)
+
+        monkeypatch.setattr(sfm, "refine_pose", refine_spy)
+        submap = build_submap(subset, tracks, frames_by_id, CAMERA)
+
+        oracle = Oracle.from_experiences([exp])
+        started = set()
+        for init in inits:
+            [fid] = [f.frame_id for f in exp.frames if np.allclose(f.gps[:3], init.t)]
+            started.add(fid)
+            error = np.degrees(np.linalg.norm(so3.log(oracle.pose(fid).rotation.T @ init.rotation)))
+            assert error < 1e-6, (fid, error)
+        assert len(started & far) >= 10
+        assert submap.status == "built"
 
 
 class TestTriangulation:
