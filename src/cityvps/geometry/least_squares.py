@@ -27,11 +27,9 @@ it gives U (6x6 per camera); its translation corner summed per landmark
 gives V (3x3 per landmark), and its translation columns are minus W, the
 6x3 camera-landmark block of the observation. Each damped step eliminates
 the landmarks (Schur complement): S = U - W V^-1 W^T. The 3x3 blocks of V
-are inverted in closed form, as adjugate over determinant. The W V^-1 W^T
-term is one stacked matmul of 6x3 by 3x6 blocks over the observation pairs
-of each landmark, into arrays the problem's ``BlockStructure`` allocates
-once. Every per-camera, per-landmark and per-block total is a segment sum
-(``np.add.reduceat``) over rows sorted once per problem.
+are inverted in closed form, as adjugate over determinant. Every
+per-camera and per-landmark total is a segment sum (``np.add.reduceat``)
+over rows sorted once per problem.
 
 S is solved in a reverse Cuthill-McKee camera order
 (``graph.reverse_cuthill_mckee``), in which it has ``bandwidth`` camera
@@ -46,8 +44,18 @@ one stacked Cholesky factorisation checks. On a street only nearby frames
 share landmarks, so the bandwidth stays small and the cost grows linearly
 with the number of frames (Triggs et al., "Bundle Adjustment - A Modern
 Synthesis"; Konolige, "Sparse Sparse Bundle Adjustment"; Agarwal et al.,
-"Bundle Adjustment in the Large"). On the 74-frame BA of the benchmark's
-street (bandwidth 6: 13 chunks of 36 x 36) a damped step takes 2-3 ms.
+"Bundle Adjustment in the Large").
+
+S is assembled one row of chunks at a time: the observation pairs whose
+camera blocks lie in D_k or F_k are gathered, multiplied as one stacked
+matmul of 6x3 by 3x6 blocks and summed per camera block, in buffers the
+problem's ``BlockStructure`` sizes for the row with the most pairs, and
+each block's sum goes into the chunks by 6x6 block assignment. No array
+with a row per observation pair outlives its row, so memory grows with
+the observations, not with their pairs: a 1001-frame BA peaks at 1.7 kB of
+traced memory per observation. On the 74-frame BA of the benchmark's
+street (bandwidth 6: 13 chunks of 36 x 36) a damped step takes about 2 ms
+on a two-CPU host with one BLAS thread.
 
 Every solve stops by one rule: once an accepted step lowers the cost by
 less than ``REL_COST_TOL`` = 1e-6 of the new cost, the default
@@ -205,21 +213,26 @@ class BlockStructure:
     - `order`, `rank`: a reverse Cuthill-McKee order of the cameras on their
       covisibility graph (position -> camera, camera -> position). In it S
       has `bandwidth` camera blocks on each side of its diagonal;
-    - `pair_i`, `pair_j`: the observation pairs (i, j) of one landmark whose
-      cameras a, b have rank[a] <= rank[b], each adding W_i V^-1 W_j^T to
-      S[a, b]. They run camera block by camera block, and `pair_sum` sums
-      them per block;
     - the layout of S as block-tridiagonal chunks: `chunk` = max(1,
       bandwidth) consecutive cameras of the order per chunk, `n_chunks` of
       them, the last padded with identity rows. A camera couples only with
       cameras at most `bandwidth` positions away, so a chunk couples only
       with the chunks next to it. The chunks live in one (2 n_chunks - 1,
-      6 chunk, 6 chunk) array: the diagonal chunks D_k first, then the
-      couplings F_k = S[chunk k, chunk k + 1]. `block_slots`,
-      `diag_slots` and `pad_slots` say where the pair blocks, U's diagonal
-      blocks and the padding's unit diagonal go in it;
-    - the arrays a damped step fills: `y_pairs`, `w_pairs` and their
-      products `pair_products`, one per pair, and `chunks`.
+      6 chunk, 6 chunk) array, `chunks`: the diagonal chunks D_k first,
+      then the couplings F_k = S[chunk k, chunk k + 1];
+    - `pair_i`, `pair_j`: the observation pairs (i, j) of one landmark whose
+      cameras a, b have rank[a] <= rank[b], each adding W_i V^-1 W_j^T to
+      S[a, b]. They run camera block by camera block in the order, so the
+      pairs of row k of the chunks, whose blocks lie in D_k or F_k, are
+      consecutive;
+    - `rows`: per row of the chunks that has pairs, its slices of `pair_i`
+      and `pair_j`, where each of its blocks' pairs start in them, and
+      where each of its blocks goes in the (2 n_chunks - 1, chunk, 6,
+      chunk, 6) view of the chunks;
+    - the buffers a damped step gathers and multiplies one row's pairs in,
+      sized for the row with the most pairs, and `chunks`; `below` and
+      `diagonal` say where a step mirrors the blocks of a diagonal chunk and
+      where U's diagonal blocks go.
     """
 
     def __init__(self, obs_cam, obs_land, n_cams: int, n_landmarks: int):
@@ -246,56 +259,75 @@ class BlockStructure:
         self.chunk = max(1, self.bandwidth)
         self.n_chunks = -(-n_cams // self.chunk)
 
-        upper = self.rank[cam_i] <= self.rank[cam_j]
-        blocks, block_of_pair = np.unique(cam_i[upper] * n_cams + cam_j[upper], return_inverse=True)
+        # The pairs block by block in the order of S. A block's pairs keep
+        # their order among themselves, and so its sum its summation order.
+        pos_i, pos_j = self.rank[cam_i], self.rank[cam_j]
+        upper = pos_i <= pos_j
+        blocks, block_of_pair, per_block = np.unique(
+            pos_i[upper] * n_cams + pos_j[upper], return_inverse=True, return_counts=True
+        )
         by_block = np.argsort(block_of_pair, kind="stable")
         self.pair_i, self.pair_j = pair_i[upper][by_block], pair_j[upper][by_block]
-        self.pair_sum = _SegmentSum(block_of_pair[by_block], blocks.shape[0])
-        self.block_slots, self.block_entries = self._chunk_slots(blocks // n_cams, blocks % n_cams)
-        self.diag_slots, self.diag_entries = self._chunk_slots(np.arange(n_cams), np.arange(n_cams))
+        ends = np.cumsum(per_block)
+        starts = ends - per_block
+        pos_a, pos_b = blocks // n_cams, blocks % n_cams
+        row = pos_a // self.chunk
+        target = np.where(pos_b // self.chunk == row, row, self.n_chunks + row)
+        self.rows = []
+        bounds = np.searchsorted(row, np.arange(self.n_chunks + 1))
+        for b0, b1 in zip(bounds[:-1], bounds[1:]):
+            if b0 < b1:  # the row has pairs
+                p0, p1 = starts[b0], ends[b1 - 1]
+                dest = (target[b0:b1], pos_a[b0:b1] % self.chunk, slice(None), pos_b[b0:b1] % self.chunk, slice(None))
+                self.rows.append((self.pair_i[p0:p1], self.pair_j[p0:p1], starts[b0:b1] - p0, dest))
+        most = max((pairs.shape[0] for pairs, *_ in self.rows), default=0)
+        # Filled afresh by every damped step: one row's gathered pair stacks
+        # and their products, and the chunks of S. Reused, they cost no page faults.
+        self.y_row, self.w_row, self.products = np.empty((most, 6, 3)), np.empty((most, 3, 6)), np.empty((most, 6, 6))
         size = 6 * self.chunk
-        padding = np.arange(6 * n_cams, size * self.n_chunks) - size * (self.n_chunks - 1)
-        self.pad_slots = ((self.n_chunks - 1) * size + padding) * size + padding
-        # Filled afresh by every damped step: the gathered pair stacks, their
-        # products and the chunks of S. Reused, they cost no page faults.
-        n_pairs = self.pair_i.shape[0]
-        self.y_pairs, self.w_pairs = np.empty((n_pairs, 6, 3)), np.empty((n_pairs, 3, 6))
-        self.pair_products = np.empty((n_pairs, 6, 6))
         self.chunks = np.empty((2 * self.n_chunks - 1, size, size))
+        # Entries of a diagonal chunk below its diagonal camera blocks, and
+        # each position's diagonal block in the chunks' 5-d view.
+        block = np.arange(size) // 6
+        self.below = block[:, None] > block
+        positions = np.arange(self.n_chunks * self.chunk)
+        self.diagonal = (positions // self.chunk, positions % self.chunk, slice(None), positions % self.chunk, slice(None))
 
-    def _chunk_slots(self, cams_a, cams_b):
-        """Where the entries of the 6x6 blocks S[a_k, b_k], rank[a_k] <= rank[b_k], go in the chunks.
+    def reduced_chunks(self, y, w_t, u):
+        """The chunks of S = u - sum over the pairs (i, j) of y_i w_t_j, in the order.
 
-        A block inside one diagonal chunk is stored with its mirror image
-        below the diagonal, a block across two chunks in their coupling.
-        Returns (flat index into the chunks, flat index into the (k, 6, 6)
-        stack of blocks) of each stored entry.
-        """
-        pos_a, pos_b = self.rank[cams_a], self.rank[cams_b]
-        chunk_a, chunk_b = pos_a // self.chunk, pos_b // self.chunk
-        inside = chunk_a == chunk_b
-        index = np.where(inside, chunk_a, self.n_chunks + chunk_a)[:, None, None]
-        size = 6 * self.chunk
-        i = 6 * (pos_a % self.chunk)[:, None, None] + np.arange(6)[:, None]
-        j = 6 * (pos_b % self.chunk)[:, None, None] + np.arange(6)
-        entries = np.arange(36 * pos_a.shape[0]).reshape(-1, 6, 6)
-        mirror = inside & (pos_a < pos_b)
-        slots = [(index * size + i) * size + j, (index[mirror] * size + j[mirror]) * size + i[mirror]]
-        return np.concatenate([s.ravel() for s in slots]), np.concatenate([entries.ravel(), entries[mirror].ravel()])
-
-    def solve_reduced(self, reduction, u, rhs):
-        """The camera step x of S x = rhs, S = u - reduction, solved in chunks.
-
-        `reduction` holds one flattened 6x6 block per camera block of
-        `pair_sum`, `u` the (n_cams, 6, 6) diagonal blocks and `rhs` is
-        (n_cams, 6). Raises LinAlgError unless S is positive definite.
+        `y` (m, 6, 3) holds W_k V^-1 and `w_t` (m, 3, 6) W_k^T per
+        observation k, or both negated; `u` holds the (n_cams, 6, 6)
+        diagonal blocks. One row of the chunks at a time, the row's pairs
+        are gathered and multiplied, and each of its blocks is the sum of
+        its pairs' products, in the pairs' order. A block inside a diagonal
+        chunk is mirrored below the diagonal. Fills and returns `chunks`.
         """
         chunks = self.chunks
         chunks.fill(0.0)
-        flat = chunks.reshape(-1)
-        flat[self.block_slots] = -np.take(reduction, self.block_entries)
-        flat[self.diag_slots] += np.take(u, self.diag_entries)
-        flat[self.pad_slots] = 1.0
+        view = chunks.reshape(chunks.shape[0], self.chunk, 6, self.chunk, 6)
+        for pair_i, pair_j, starts, dest in self.rows:
+            n = pair_i.shape[0]
+            y_row, w_row, products = self.y_row[:n], self.w_row[:n], self.products[:n]
+            np.take(y, pair_i, axis=0, out=y_row)
+            np.take(w_t, pair_j, axis=0, out=w_row)
+            np.matmul(y_row, w_row, out=products)
+            view[dest] = -np.add.reduceat(products.reshape(n, 36), starts, axis=0).reshape(-1, 6, 6)
+        diag = chunks[: self.n_chunks]
+        np.copyto(diag, diag.transpose(0, 2, 1), where=self.below)
+        padded = np.empty((self.n_chunks * self.chunk, 6, 6))
+        padded[: self.n_cams] = u[self.order]
+        padded[self.n_cams :] = np.eye(6)  # the padding's unit diagonal
+        view[self.diagonal] += padded
+        return chunks
+
+    def solve_reduced(self, y, w_t, u, rhs):
+        """The camera step x of S x = rhs, S = u - sum over the pairs of y_i w_t_j, solved in chunks.
+
+        `y`, `w_t` and `u` are as in `reduced_chunks`, and `rhs` is
+        (n_cams, 6). Raises LinAlgError unless S is positive definite.
+        """
+        chunks = self.reduced_chunks(y, w_t, u)
         padded = np.zeros((self.n_chunks * self.chunk, 6))
         padded[: self.n_cams] = rhs[self.order]
         x = np.empty_like(rhs)
@@ -447,8 +479,11 @@ class _BlockNormalEquations:
         if not (np.isfinite(self.u).all() and np.isfinite(self.v).all() and np.isfinite(self.grad).all()):
             raise NonFinite("non-finite normal equations")
         # -W as (m, 6, 3) and -W^T as (m, 3, 6); the signs cancel in the step.
-        # The blocks of these views have unit column stride, so they need no copy.
-        self.minus_w, self.minus_w_t = hess[:, :, 3:], hess[:, 3:, :]
+        # The blocks of -W have unit column stride, so a matmul needs no copy
+        # of them. -W^T is copied once: np.take copies a source that is not
+        # contiguous whole, on every call, and each damped step gathers from
+        # it once per row of the chunks.
+        self.minus_w, self.minus_w_t = hess[:, :, 3:], hess[:, 3:, :].copy()
         self.u_diag = _floored(np.diagonal(self.u, axis1=1, axis2=2))
         self.v_diag = _floored(np.diagonal(self.v, axis1=1, axis2=2))
 
@@ -464,13 +499,9 @@ class _BlockNormalEquations:
         v_inv = _symmetric_inverse(_damped(self.v, self.v_diag, mu))
         # np.take on axis 0 gathers blocks about twice as fast as fancy indexing.
         y = self.minus_w @ np.take(v_inv, st.obs_land, axis=0)  # -W_k V_mu^-1 per observation, (m, 6, 3)
-        np.take(y, st.pair_i, axis=0, out=st.y_pairs)
-        np.take(self.minus_w_t, st.pair_j, axis=0, out=st.w_pairs)
-        np.matmul(st.y_pairs, st.w_pairs, out=st.pair_products)
-        reduction = st.pair_sum(st.pair_products.reshape(-1, 36))  # W V_mu^-1 W^T, one row per camera block
         minus_g_land = np.take(self.minus_g_land, st.obs_land, axis=0)[:, :, None]
         rhs = st.cam_sum((y @ minus_g_land)[:, :, 0]) - self.g_cam
-        step_cam = st.solve_reduced(reduction, _damped(self.u, self.u_diag, mu), rhs)
+        step_cam = st.solve_reduced(y, self.minus_w_t, _damped(self.u, self.u_diag, mu), rhs)
         minus_w_step = self.minus_w_t @ np.take(step_cam, st.obs_cam, axis=0)[:, :, None]
         minus_back = self.minus_g_land + st.land_sum(minus_w_step[:, :, 0])  # -(g_l + W^T step_camera)
         return np.concatenate([step_cam.ravel(), (v_inv @ minus_back[:, :, None]).ravel()])

@@ -226,9 +226,9 @@ def simulate_experience(
     rotations = [_camera_orientation(yaw) for yaw in yaws]
     positions = np.column_stack([pts, np.full(len(pts), sim.resolved_height(platform))])
 
-    lm_pos = world.landmark_positions().reshape(-1, 3)
-    lm_desc = world.landmark_descriptors().reshape(-1, world.config.descriptor_dim)
-    lm_ids = np.array([lm.id for lm in world.landmarks], dtype=int)
+    lm_pos = world.landmark_positions()
+    lm_desc = world.landmark_descriptors()
+    lm_ids = np.arange(lm_pos.shape[0])  # landmark i is row i
     cond_offsets = None
     if condition_value != 0.0 and len(world.landmarks):
         # World.condition_offset of every landmark.

@@ -78,12 +78,16 @@ class World:
     condition_dirs: np.ndarray = field(default_factory=lambda: np.zeros((0, 0)))
     # Phases of the smooth urban-canyon GPS bias field.
     bias_phases: np.ndarray = field(default_factory=lambda: np.zeros(4))
+    # (N, 3) positions and (N, descriptor_dim) descriptors, row i for
+    # landmark i, read-only: each Landmark's arrays are views of its rows.
+    positions: np.ndarray = field(default_factory=lambda: np.zeros((0, 3)))
+    descriptors: np.ndarray = field(default_factory=lambda: np.zeros((0, 0)))
 
     def landmark_positions(self) -> np.ndarray:
-        return np.array([lm.position for lm in self.landmarks])
+        return self.positions
 
     def landmark_descriptors(self) -> np.ndarray:
-        return np.array([lm.descriptor for lm in self.landmarks])
+        return self.descriptors
 
     def condition_offset(self, landmark_id: int, condition_value: float, scale: float) -> np.ndarray:
         """Descriptor shift for a landmark seen under a visual condition.
@@ -126,10 +130,8 @@ def generate_world_from_streets(streets, config: WorldConfig, seed: int) -> Worl
     """Place facade landmarks along both sides of the given streets."""
     config.validate()
     rng = np.random.default_rng(seed)
-    landmarks = []
-    condition_dirs = []
+    positions, descriptors, condition_dirs = [], [], []
     zmin, zmax = config.landmark_height_range
-    next_id = 0
     for sid in sorted(streets):
         street = streets[sid]
         poly = street.polyline
@@ -149,22 +151,26 @@ def generate_world_from_streets(streets, config: WorldConfig, seed: int) -> Worl
                 # Per landmark a descriptor, then a condition direction: one
                 # block of draws reads the stream in that order.
                 draws = rng.normal(0.0, 1.0, size=(count, 2, config.descriptor_dim))
-                descriptors = draws[:, 0].copy()  # the landmarks keep no view of the directions
+                descriptors.append(draws[:, 0])
                 xy = a + direction * offsets[:, None] + normal * lateral[:, None]
-                positions = np.column_stack([xy, heights])
-                for position, descriptor, dir_vec in zip(positions, descriptors, draws[:, 1]):
-                    landmarks.append(Landmark(next_id, position, descriptor))
+                positions.append(np.column_stack([xy, heights]))
+                for dir_vec in draws[:, 1]:
                     # np.linalg.norm of one vector, without its dispatch.
                     condition_dirs.append(dir_vec / math.sqrt(dir_vec.dot(dir_vec)))
-                    next_id += 1
     bias_phases = rng.uniform(0.0, 2.0 * np.pi, size=4)
+    positions = np.concatenate(positions or [np.zeros((0, 3))])
+    descriptors = np.concatenate(descriptors or [np.zeros((0, config.descriptor_dim))])
+    positions.setflags(write=False)
+    descriptors.setflags(write=False)
     return World(
         streets=dict(streets),
-        landmarks=landmarks,
+        landmarks=[Landmark(k, *row) for k, row in enumerate(zip(positions, descriptors))],
         seed=seed,
         config=config,
         condition_dirs=np.array(condition_dirs).reshape(-1, config.descriptor_dim),
         bias_phases=bias_phases,
+        positions=positions,
+        descriptors=descriptors,
     )
 
 

@@ -375,15 +375,104 @@ class TestBundleAdjustInternals:
     def test_thousand_frames_below_one_dense_camera_matrix(self):
         # The split's default subset size: 1001 frames. The reduced camera
         # system is banded, so the solve must not hold as much as one dense
-        # 6F x 6F float64 matrix (289 MB) either.
+        # 6F x 6F float64 matrix (289 MB) either. Nor may it hold an array
+        # with a row per observation pair for the whole problem: assembled
+        # one row of chunks at a time, it peaks at about 1,720 bytes per
+        # observation, against 3,650 with every pair's 6x6 product held.
         poses, points, tracks_by_id, frames_by_id = self.truth_started_street(6000.0)
         p = 6 * len(poses)
+        n_obs = sum(len(track.observations) for track in tracks_by_id.values())
         assert len(poses) >= 1000
 
         result, rmse, peak = self.traced_bundle_adjust(poses, points, tracks_by_id, frames_by_id)
         assert result.converged
         assert rmse < 1e-8
         assert peak < 8 * p * p
+        assert peak <= 2400 * n_obs
+
+    @staticmethod
+    def whole_array_step(normal, mu):
+        """`normal.step(mu)` with S assembled whole, as a reference.
+
+        Every pair's product is held at once and summed per camera block in
+        camera id order; the sums are scattered into the chunks by flat
+        index, entry by entry.
+        """
+        st = normal.structure
+        n_cams, chunk, n_chunks = st.n_cams, st.chunk, st.n_chunks
+        by_land = np.argsort(st.obs_land, kind="stable")
+        sorted_land = st.obs_land[by_land]
+        first = np.searchsorted(sorted_land, sorted_land)
+        count = np.bincount(sorted_land, minlength=st.n_landmarks)[sorted_land]
+        offset = np.arange(count.sum()) - np.repeat(np.cumsum(count) - count, count)
+        pair_i = np.repeat(by_land, count)
+        pair_j = by_land[np.repeat(first, count) + offset]
+        cam_i, cam_j = st.obs_cam[pair_i], st.obs_cam[pair_j]
+        upper = st.rank[cam_i] <= st.rank[cam_j]
+        blocks, block_of_pair = np.unique(cam_i[upper] * n_cams + cam_j[upper], return_inverse=True)
+        by_block = np.argsort(block_of_pair, kind="stable")
+        pair_i, pair_j = pair_i[upper][by_block], pair_j[upper][by_block]
+        pair_sum = least_squares._SegmentSum(block_of_pair[by_block], blocks.shape[0])
+        size = 6 * chunk
+
+        def chunk_slots(cams_a, cams_b):
+            pos_a, pos_b = st.rank[cams_a], st.rank[cams_b]
+            chunk_a = pos_a // chunk
+            inside = chunk_a == pos_b // chunk
+            index = np.where(inside, chunk_a, n_chunks + chunk_a)[:, None, None]
+            i = 6 * (pos_a % chunk)[:, None, None] + np.arange(6)[:, None]
+            j = 6 * (pos_b % chunk)[:, None, None] + np.arange(6)
+            entries = np.arange(36 * pos_a.shape[0]).reshape(-1, 6, 6)
+            mirror = inside & (pos_a < pos_b)
+            slots = [(index * size + i) * size + j, (index[mirror] * size + j[mirror]) * size + i[mirror]]
+            return np.concatenate([s.ravel() for s in slots]), np.concatenate([entries.ravel(), entries[mirror].ravel()])
+
+        block_slots, block_entries = chunk_slots(blocks // n_cams, blocks % n_cams)
+        diag_slots, diag_entries = chunk_slots(np.arange(n_cams), np.arange(n_cams))
+        padding = np.arange(6 * n_cams, size * n_chunks) - size * (n_chunks - 1)
+
+        v_inv = least_squares._symmetric_inverse(least_squares._damped(normal.v, normal.v_diag, mu))
+        y = normal.minus_w @ np.take(v_inv, st.obs_land, axis=0)
+        products = np.take(y, pair_i, axis=0) @ np.take(normal.minus_w_t, pair_j, axis=0)
+        reduction = pair_sum(products.reshape(-1, 36))
+        minus_g_land = np.take(normal.minus_g_land, st.obs_land, axis=0)[:, :, None]
+        rhs = st.cam_sum((y @ minus_g_land)[:, :, 0]) - normal.g_cam
+        chunks = np.zeros((2 * n_chunks - 1, size, size))
+        flat = chunks.reshape(-1)
+        flat[block_slots] = -np.take(reduction, block_entries)
+        flat[diag_slots] += np.take(least_squares._damped(normal.u, normal.u_diag, mu), diag_entries)
+        flat[((n_chunks - 1) * size + padding) * size + padding] = 1.0
+        padded = np.zeros((n_chunks * chunk, 6))
+        padded[:n_cams] = rhs[st.order]
+        step_cam = np.empty_like(rhs)
+        solved = least_squares._solve_block_tridiagonal(chunks, padded.reshape(n_chunks, -1))
+        step_cam[st.order] = solved.reshape(-1, 6)[:n_cams]
+        minus_w_step = normal.minus_w_t @ np.take(step_cam, st.obs_cam, axis=0)[:, :, None]
+        minus_back = normal.minus_g_land + st.land_sum(minus_w_step[:, :, 0])
+        return np.concatenate([step_cam.ravel(), (v_inv @ minus_back[:, :, None]).ravel()])
+
+    @pytest.mark.parametrize("mu", [1e-4, 10.0])
+    def test_step_equals_whole_array_assembly_bit_for_bit(self, mu, monkeypatch):
+        # S is assembled one row of chunks at a time, each camera block's
+        # pairs summed in the same order as with every pair held at once, so
+        # a damped step on the 250-frame street is the same to the last bit.
+        poses, points, tracks_by_id, frames_by_id = self.truth_started_street(1500.0)
+        solve = sfm.solve_least_squares
+        handed = {}
+
+        def spy(residual_fn, x0, jacobian=None, **kwargs):
+            handed.update(problem=jacobian.__self__, x0=x0, robust=kwargs["robust"])
+            return solve(residual_fn, x0, jacobian=jacobian, **kwargs)
+
+        monkeypatch.setattr(sfm, "solve_least_squares", spy)
+        obs = Observations(tracks_by_id.values(), frames_by_id)
+        bundle_adjust(poses, points, obs, frames_by_id, CAMERA, max_iterations=1)
+        problem, x0 = handed["problem"], handed["x0"]
+        assert problem.nf >= 250
+        r = problem.residuals(x0)
+        normal = _normal_equations(problem.jacobian(x0), r, _row_weights(r, handed["robust"]))
+        assert normal.structure.n_chunks >= 5
+        assert np.array_equal(normal.step(mu), self.whole_array_step(normal, mu))
 
     def test_failed_banded_factorisation_raises_damping(self, monkeypatch):
         factorisations = []

@@ -210,6 +210,64 @@ def street_structure(n_cams, width, seed):
     return least_squares.BlockStructure(obs_cam, obs_land, n_cams, 3 * n_cams)
 
 
+def schur_inputs(structure, rng):
+    """Random per-observation W_k (6x3) and per-landmark symmetric positive definite V^-1 (3x3).
+
+    Returns (y, w_t, dense): the inputs of `BlockStructure.reduced_chunks`,
+    y_k = W_k V^-1 and w_t_k = W_k^T, and W V^-1 W^T as a dense
+    (6 n_cams, 6 n_cams) matrix in camera id order.
+    """
+    n_cams, n_landmarks = structure.n_cams, structure.n_landmarks
+    w = rng.normal(size=(structure.obs_cam.size, 6, 3))
+    a = rng.normal(size=(n_landmarks, 3, 3))
+    v_inv = a @ a.transpose(0, 2, 1) + 0.1 * np.eye(3)
+    dense_w = np.zeros((n_cams, 6, n_landmarks, 3))
+    np.add.at(dense_w, (structure.obs_cam, slice(None), structure.obs_land), w)
+    dense_w = dense_w.reshape(6 * n_cams, 3 * n_landmarks)
+    dense_v_inv = np.zeros((n_landmarks, 3, n_landmarks, 3))
+    dense_v_inv[np.arange(n_landmarks), :, np.arange(n_landmarks)] = v_inv
+    dense = dense_w @ dense_v_inv.reshape(3 * n_landmarks, 3 * n_landmarks) @ dense_w.T
+    return w @ v_inv[structure.obs_land], w.transpose(0, 2, 1).copy(), dense
+
+
+def check_reduced_chunks(structure, seed):
+    """`reduced_chunks` equals the chunks of the dense S = U - W V^-1 W^T, and S has no entry outside them."""
+    rng = np.random.default_rng(seed)
+    n_cams, chunk, n_chunks = structure.n_cams, structure.chunk, structure.n_chunks
+    y, w_t, reduction = schur_inputs(structure, rng)
+    u = rng.normal(size=(n_cams, 6, 6))
+    dense = np.zeros((n_cams, 6, n_cams, 6))
+    dense[np.arange(n_cams), :, np.arange(n_cams)] = u
+    dense -= reduction.reshape(n_cams, 6, n_cams, 6)
+    # In the structure's camera order, padded with identity blocks to whole chunks.
+    padded = np.zeros((n_chunks * chunk, 6, n_chunks * chunk, 6))
+    padded[:n_cams, :, :n_cams] = dense[structure.order][:, :, structure.order]
+    padded[np.arange(n_cams, n_chunks * chunk), :, np.arange(n_cams, n_chunks * chunk)] = np.eye(6)
+    padded = padded.reshape(n_chunks, 6 * chunk, n_chunks, 6 * chunk)
+    expected = [padded[k, :, k] for k in range(n_chunks)] + [padded[k, :, k + 1] for k in range(n_chunks - 1)]
+    far = np.abs(np.arange(n_chunks)[:, None] - np.arange(n_chunks)) > 1
+    assert not padded.transpose(0, 2, 1, 3)[far].any()
+    chunks = structure.reduced_chunks(y, w_t, u)
+    assert chunks.shape == (2 * n_chunks - 1, 6 * chunk, 6 * chunk)
+    assert np.allclose(chunks, np.array(expected), rtol=0.0, atol=1e-12 * max(1.0, np.abs(dense).max()))
+
+
+@given(st.integers(1, 40), st.integers(0, 8), seeds)
+@example(1, 0, 0)  # one camera, observing nothing
+@example(7, 0, 3)  # bandwidth 0: chunks of one camera
+@settings(max_examples=100, deadline=None)
+def test_reduced_chunks_equal_dense_schur_complement(n_cams, width, seed):
+    # A damped bundle-adjustment step assembles S one row of chunks at a
+    # time; the reference is U - W V^-1 W^T formed densely.
+    check_reduced_chunks(street_structure(n_cams, width, seed), seed + 1)
+
+
+def test_reduced_chunks_of_a_long_street():
+    structure = street_structure(40, 3, 5)
+    assert len(structure.rows) >= 5  # rows of the chunks that hold pairs
+    check_reduced_chunks(structure, 6)
+
+
 @given(st.integers(1, 40), st.integers(0, 8), seeds, st.booleans())
 @example(1, 0, 0, False)  # one camera, observing nothing
 @example(7, 0, 3, False)  # bandwidth 0: chunks of one camera
@@ -217,38 +275,31 @@ def street_structure(n_cams, width, seed):
 @example(40, 3, 5, True)
 @settings(max_examples=200, deadline=None)
 def test_chunked_camera_solve_equals_dense_solve(n_cams, width, seed, indefinite):
-    # Bundle adjustment solves its reduced camera system S in block-tridiagonal
-    # chunks of `bandwidth` cameras; the reference is S solved whole. S has
-    # a block wherever two cameras share a landmark, and a diagonal block
-    # for every camera.
+    # Bundle adjustment solves its reduced camera system S = U - W V^-1 W^T
+    # in block-tridiagonal chunks of `bandwidth` cameras; the reference is
+    # S formed densely and solved whole.
     structure = street_structure(n_cams, width, seed)
     assert structure.chunk == max(1, structure.bandwidth)
     assert 0 not in structure.obs_cam
     rng = np.random.default_rng(seed + 1)
-    obs_cam = structure.obs_cam
-    codes = np.unique(obs_cam[structure.pair_i] * n_cams + obs_cam[structure.pair_j])
-    dense = np.zeros((n_cams, 6, n_cams, 6))
-    for a, b in zip(codes // n_cams, codes % n_cams):
-        if a != b:
-            dense[a, :, b] = rng.normal(size=(6, 6))
-            dense[b, :, a] = dense[a, :, b].T
-    for a in range(n_cams):
-        block = rng.normal(size=(6, 6))
-        dense[a, :, a] = block + block.T
-    dense = dense.reshape(6 * n_cams, 6 * n_cams)
+    y, w_t, reduction = schur_inputs(structure, rng)
+    block = rng.normal(size=(n_cams, 6, 6))
+    u = block + block.transpose(0, 2, 1)
+    dense = -reduction
+    dense.reshape(n_cams, 6, n_cams, 6)[np.arange(n_cams), :, np.arange(n_cams)] += u
     low, second = np.linalg.eigvalsh(dense)[:2]
-    # Positive definite with smallest eigenvalue 1, or one negative eigenvalue.
-    dense[np.diag_indices(6 * n_cams)] += -0.5 * (low + second) if indefinite else 1.0 - low
-    blocks = dense.reshape(n_cams, 6, n_cams, 6).transpose(0, 2, 1, 3)
-    u = blocks[np.arange(n_cams), np.arange(n_cams)]
-    reduction = np.array([np.zeros((6, 6)) if a == b else -blocks[a, b] for a, b in zip(codes // n_cams, codes % n_cams)])
+    # Positive definite with smallest eigenvalue about 1, or one negative
+    # eigenvalue: a shift of every diagonal entry of U shifts S's spectrum.
+    shift = -0.5 * (low + second) if indefinite else 1.0 - low
+    u[:, np.arange(6), np.arange(6)] += shift
+    dense[np.diag_indices(6 * n_cams)] += shift
     rhs = rng.normal(size=(n_cams, 6))
     if indefinite:
         with pytest.raises(np.linalg.LinAlgError):
-            structure.solve_reduced(reduction.reshape(-1, 36), u, rhs)
+            structure.solve_reduced(y, w_t, u, rhs)
         return
     expected = np.linalg.solve(dense, rhs.ravel()).reshape(n_cams, 6)
-    step = structure.solve_reduced(reduction.reshape(-1, 36), u, rhs)
+    step = structure.solve_reduced(y, w_t, u, rhs)
     assert np.linalg.norm(step - expected) <= 1e-10 * np.linalg.norm(expected)
 
 
@@ -276,8 +327,9 @@ def test_landmark_inverse_raises_unless_every_determinant_is_positive(singular):
 @given(st.integers(1, 12), st.integers(1, 20), st.integers(1, 80), seeds, st.booleans())
 @settings(max_examples=200, deadline=None)
 def test_block_structure_sums_equal_dense_products(n_cams, n_landmarks, n_obs, seed, by_landmark):
-    # Bundle adjustment sums its per-observation and per-pair blocks by
-    # segments; the reference is the 0/1 summation matrix times the blocks.
+    # Bundle adjustment sums its per-observation blocks by segments; the
+    # reference is the 0/1 summation matrix times the blocks. Its per-pair
+    # blocks go into the chunks of S; the reference is S formed densely.
     # Camera 0 has no observation, like a frame held by its priors alone.
     rng = np.random.default_rng(seed)
     obs_cam = rng.integers(1, n_cams, size=n_obs) if n_cams > 1 else np.zeros(0, dtype=int)
@@ -300,7 +352,11 @@ def test_block_structure_sums_equal_dense_products(n_cams, n_landmarks, n_obs, s
         if obs_land[i] == obs_land[j] and rank[obs_cam[i]] <= rank[obs_cam[j]]
     ]
     assert sorted(zip(structure.pair_i.tolist(), structure.pair_j.tolist())) == expected_pairs
-    codes = obs_cam[structure.pair_i] * n_cams + obs_cam[structure.pair_j]
-    blocks, block_of_pair = np.unique(codes, return_inverse=True)
-    pairs = rng.normal(size=(codes.size, 36))
-    assert np.allclose(structure.pair_sum(pairs), dense_sum(block_of_pair, blocks.size, pairs), rtol=0.0, atol=1e-12)
+    # The pairs run camera block by camera block in the order, and the rows
+    # of the chunks take them in turn.
+    codes = rank[obs_cam[structure.pair_i]] * n_cams + rank[obs_cam[structure.pair_j]]
+    assert (codes[1:] >= codes[:-1]).all()
+    for name, k in (("pair_i", 0), ("pair_j", 1)):
+        rows = [row[k] for row in structure.rows]
+        assert np.array_equal(np.concatenate(rows or [np.zeros(0, dtype=int)]), getattr(structure, name))
+    check_reduced_chunks(structure, seed + 1)
