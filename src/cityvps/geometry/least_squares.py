@@ -52,10 +52,13 @@ matmul of 6x3 by 3x6 blocks and summed per camera block, in buffers the
 problem's ``BlockStructure`` sizes for the row with the most pairs, and
 each block's sum goes into the chunks by 6x6 block assignment. No array
 with a row per observation pair outlives its row, so memory grows with
-the observations, not with their pairs: a 1001-frame BA peaks at 1.7 kB of
-traced memory per observation. On the 74-frame BA of the benchmark's
-street (bandwidth 6: 13 chunks of 36 x 36) a damped step takes about 2 ms
-on a two-CPU host with one BLAS thread.
+the observations, not with their pairs. Between damped steps the normal
+equations keep U, V, the gradient, and -W and -W^T as arrays of their own,
+not the 6x6 products they were summed from, and the solver lets one
+iteration's normal equations go before it forms the next: a 1001-frame BA
+peaks at 1.4 kB of traced memory per observation. On the 74-frame BA of
+the benchmark's street (bandwidth 6: 13 chunks of 36 x 36) a damped step
+takes about 2 ms on a two-CPU host with one BLAS thread.
 
 Every solve stops by one rule: once an accepted step lowers the cost by
 less than ``REL_COST_TOL`` = 1e-6 of the new cost, the default
@@ -222,9 +225,10 @@ class BlockStructure:
       then the couplings F_k = S[chunk k, chunk k + 1];
     - `pair_i`, `pair_j`: the observation pairs (i, j) of one landmark whose
       cameras a, b have rank[a] <= rank[b], each adding W_i V^-1 W_j^T to
-      S[a, b]. They run camera block by camera block in the order, so the
-      pairs of row k of the chunks, whose blocks lie in D_k or F_k, are
-      consecutive;
+      S[a, b], built with no array of the pairs dropped (`_kept_pairs`).
+      They run camera block by camera block in the order, so the pairs of
+      row k of the chunks, whose blocks lie in D_k or F_k, are consecutive,
+      and within a block in a fixed order, the order in which it sums;
     - `rows`: per row of the chunks that has pairs, its slices of `pair_i`
       and `pair_j`, where each of its blocks' pairs start in them, and
       where each of its blocks goes in the (2 n_chunks - 1, chunk, 6,
@@ -242,32 +246,10 @@ class BlockStructure:
         self.cam_sum = _SegmentSum(self.obs_cam, n_cams)
         self.land_sum = _SegmentSum(self.obs_land, n_landmarks)
 
-        # Every ordered pair of observations of one landmark.
-        by_land = np.argsort(self.obs_land, kind="stable")
-        sorted_land = self.obs_land[by_land]
-        first = np.searchsorted(sorted_land, sorted_land)
-        count = np.bincount(sorted_land, minlength=n_landmarks)[sorted_land]
-        offset = np.arange(count.sum()) - np.repeat(np.cumsum(count) - count, count)
-        pair_i = np.repeat(by_land, count)
-        pair_j = by_land[np.repeat(first, count) + offset]
-        cam_i, cam_j = self.obs_cam[pair_i], self.obs_cam[pair_j]
-
-        self.order = reverse_cuthill_mckee(n_cams, cam_i, cam_j)
-        self.rank = np.empty(n_cams, dtype=np.intp)
-        self.rank[self.order] = np.arange(n_cams)
-        self.bandwidth = int(np.abs(self.rank[cam_i] - self.rank[cam_j]).max(initial=0))
+        self.pair_i, self.pair_j, codes = self._kept_pairs(n_landmarks)
         self.chunk = max(1, self.bandwidth)
         self.n_chunks = -(-n_cams // self.chunk)
-
-        # The pairs block by block in the order of S. A block's pairs keep
-        # their order among themselves, and so its sum its summation order.
-        pos_i, pos_j = self.rank[cam_i], self.rank[cam_j]
-        upper = pos_i <= pos_j
-        blocks, block_of_pair, per_block = np.unique(
-            pos_i[upper] * n_cams + pos_j[upper], return_inverse=True, return_counts=True
-        )
-        by_block = np.argsort(block_of_pair, kind="stable")
-        self.pair_i, self.pair_j = pair_i[upper][by_block], pair_j[upper][by_block]
+        blocks, per_block = np.unique(codes, return_counts=True)
         ends = np.cumsum(per_block)
         starts = ends - per_block
         pos_a, pos_b = blocks // n_cams, blocks % n_cams
@@ -292,6 +274,44 @@ class BlockStructure:
         self.below = block[:, None] > block
         positions = np.arange(self.n_chunks * self.chunk)
         self.diagonal = (positions // self.chunk, positions % self.chunk, slice(None), positions % self.chunk, slice(None))
+
+    def _kept_pairs(self, n_landmarks: int):
+        """Set `order`, `rank` and `bandwidth`; return `pair_i`, `pair_j` and each pair's block code.
+
+        Only the kept pairs are built, with no array of every ordered pair:
+        each unordered pair of observations of one landmark (an observation
+        with itself included) is turned so that rank[a] <= rank[b], and a
+        pair of two observations in one camera is kept both ways. The pairs
+        run block by block in the order of S (code rank[a] * n_cams +
+        rank[b]), and within a block in the landmark-major enumeration of
+        ordered pairs, so each block sums in one fixed order.
+        """
+        n_obs, n_cams = self.obs_land.shape[0], self.n_cams
+        by_land = np.argsort(self.obs_land, kind="stable")
+        sorted_land = self.obs_land[by_land]
+        first = np.searchsorted(sorted_land, sorted_land)
+        count = np.bincount(sorted_land, minlength=n_landmarks)[sorted_land]
+        # (s, t) with s <= t in the landmark order, s and t sorted positions.
+        later = first + count - np.arange(n_obs)
+        s = np.repeat(np.arange(n_obs), later)
+        t = s + np.arange(s.shape[0]) - np.repeat(np.cumsum(later) - later, later)
+        cam_s, cam_t = self.obs_cam[by_land[s]], self.obs_cam[by_land[t]]
+
+        self.order = reverse_cuthill_mckee(n_cams, cam_s, cam_t)
+        self.rank = np.empty(n_cams, dtype=np.intp)
+        self.rank[self.order] = np.arange(n_cams)
+        pos_s, pos_t = self.rank[cam_s], self.rank[cam_t]
+        self.bandwidth = int(np.abs(pos_s - pos_t).max(initial=0))
+
+        swap, both = pos_s > pos_t, (pos_s == pos_t) & (s != t)
+        a = np.concatenate([np.where(swap, t, s), t[both]])
+        b = np.concatenate([np.where(swap, s, t), s[both]])
+        codes = np.concatenate([np.minimum(pos_s, pos_t) * n_cams + np.maximum(pos_s, pos_t), pos_s[both] * (n_cams + 1)])
+        # Ordered pair (a, b) is number start[a] + b - first[a] of the
+        # enumeration, start[a] the number of ordered pairs in rows before a.
+        start = np.cumsum(count) - count
+        by_block = np.lexsort((start[a] + b - first[a], codes))
+        return by_land[a[by_block]], by_land[b[by_block]], codes[by_block]
 
     def reduced_chunks(self, y, w_t, u):
         """The chunks of S = u - sum over the pairs (i, j) of y_i w_t_j, in the order.
@@ -447,6 +467,10 @@ class _BlockNormalEquations:
     observation's landmark gradient is minus the translation half of its
     camera gradient C_k^T r_k. The damping scales are the diagonals of U
     and V, floored at 1e-12.
+
+    Once U, V and the gradient are summed, the (m, 6, 6) products go: a
+    damped step needs only -W (m, 6, 3) and -W^T (m, 3, 6), each copied
+    out of them into an array of its own.
     """
 
     def __init__(self, jac: BlockJacobian, r, row_w):
@@ -465,6 +489,7 @@ class _BlockNormalEquations:
             frame_rows_t = [block_t * w for block_t, w in zip(frame_rows_t, w_frame)]
         hess = cam_t @ jac.cam  # (m, 6, 6)
         grad = (cam_t @ r_obs)[:, :, 0]  # (m, 6)
+        del cam_t  # gone before the per-camera sums copy the products
 
         u = st.cam_sum(hess.reshape(n_obs, 36))
         g_cam = st.cam_sum(grad)
@@ -478,12 +503,11 @@ class _BlockNormalEquations:
         # |W_ij| <= sqrt(U_ii V_jj), so W is finite when U and V are.
         if not (np.isfinite(self.u).all() and np.isfinite(self.v).all() and np.isfinite(self.grad).all()):
             raise NonFinite("non-finite normal equations")
-        # -W as (m, 6, 3) and -W^T as (m, 3, 6); the signs cancel in the step.
-        # The blocks of -W have unit column stride, so a matmul needs no copy
-        # of them. -W^T is copied once: np.take copies a source that is not
-        # contiguous whole, on every call, and each damped step gathers from
-        # it once per row of the chunks.
-        self.minus_w, self.minus_w_t = hess[:, :, 3:], hess[:, 3:, :].copy()
+        # -W and -W^T; the signs cancel in the step. Contiguous, -W^T also
+        # spares a copy per call of np.take, which copies a source that is not
+        # contiguous whole, and each damped step gathers from it once per row
+        # of the chunks.
+        self.minus_w, self.minus_w_t = hess[:, :, 3:].copy(), hess[:, 3:, :].copy()
         self.u_diag = _floored(np.diagonal(self.u, axis1=1, axis2=2))
         self.v_diag = _floored(np.diagonal(self.v, axis1=1, axis2=2))
 
@@ -591,6 +615,7 @@ def solve_least_squares(residual_fn, x0, jacobian=None, *, robust=None, max_iter
 
     while iteration < max_iterations:
         iteration += 1
+        normal = None  # the last iteration's normal equations go before the next are formed
         normal = _normal_equations(jac_fn(x), r, _row_weights(r, robust, norms))
         accepted = False
         while mu <= DAMPING_MAX:

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -154,12 +153,14 @@ def generate_world_from_streets(streets, config: WorldConfig, seed: int) -> Worl
                 descriptors.append(draws[:, 0])
                 xy = a + direction * offsets[:, None] + normal * lateral[:, None]
                 positions.append(np.column_stack([xy, heights]))
-                for dir_vec in draws[:, 1]:
-                    # np.linalg.norm of one vector, without its dispatch.
-                    condition_dirs.append(dir_vec / math.sqrt(dir_vec.dot(dir_vec)))
+                condition_dirs.append(draws[:, 1])
     bias_phases = rng.uniform(0.0, 2.0 * np.pi, size=4)
     positions = np.concatenate(positions or [np.zeros((0, 3))])
     descriptors = np.concatenate(descriptors or [np.zeros((0, config.descriptor_dim))])
+    condition_dirs = np.concatenate(condition_dirs or [np.zeros((0, config.descriptor_dim))])
+    # Each row over its norm, the norm's square a dot product of the row
+    # with itself: the same bits as normalising the rows one by one.
+    condition_dirs /= np.sqrt(condition_dirs[:, None, :] @ condition_dirs[:, :, None])[:, :, 0]
     positions.setflags(write=False)
     descriptors.setflags(write=False)
     return World(
@@ -167,7 +168,7 @@ def generate_world_from_streets(streets, config: WorldConfig, seed: int) -> Worl
         landmarks=[Landmark(k, *row) for k, row in enumerate(zip(positions, descriptors))],
         seed=seed,
         config=config,
-        condition_dirs=np.array(condition_dirs).reshape(-1, config.descriptor_dim),
+        condition_dirs=condition_dirs,
         bias_phases=bias_phases,
         positions=positions,
         descriptors=descriptors,

@@ -288,12 +288,13 @@ class TestBundleAdjustInternals:
         # solved by its priors, as a frame with a prior-only pose is.
         self.test_schur_step_matches_dense_step(mu, prior_only=True)
 
-    @pytest.mark.parametrize("mu", [1e-4, 10.0])
-    def test_banded_step_in_reordered_cameras(self, mu):
-        # Two experiences of one street: frame ids run along the first pass,
-        # then along the second, so in id order every frame shares landmarks
-        # with a frame about one pass away. The camera reordering must
-        # narrow the band, and the step must not depend on it.
+    @staticmethod
+    def two_pass_street():
+        """Two zero-noise experiences of one 300 m street as one BA problem, and its frames and world.
+
+        Frame ids run along the first pass, then along the second, so in id
+        order every frame shares landmarks with a frame about one pass away.
+        """
         world = street_world(length=300.0)
         frames = []
         for k in (1, 2):
@@ -310,9 +311,19 @@ class TestBundleAdjustInternals:
                              np.array([f.gps[:3] for f in frames]),
                              np.full(len(frames), 0.04), CAMERA,
                              gravity_meas=np.array([f.ins_gravity for f in frames]), gravity_sqrtw=5.0)
-        position = {fid: k for k, fid in enumerate(frame_ids)}
-        natural = max(max(position[f] for f in fids) - min(position[f] for f in fids) for fids in seen.values())
-        assert problem.structure.bandwidth < natural / 2
+        return problem, frames, world
+
+    @pytest.mark.parametrize("mu", [1e-4, 10.0])
+    def test_banded_step_in_reordered_cameras(self, mu):
+        # In id order every frame of the two-pass street shares landmarks
+        # with a frame about one pass away. The camera reordering must
+        # narrow the band, and the step must not depend on it.
+        problem, frames, world = self.two_pass_street()
+        frame_ids, track_ids = problem.frame_ids, problem.track_ids
+        lowest, highest = np.full(problem.nl, problem.nf), np.zeros(problem.nl, dtype=int)
+        np.minimum.at(lowest, problem.obs_l, problem.obs_f)
+        np.maximum.at(highest, problem.obs_l, problem.obs_f)
+        assert problem.structure.bandwidth < (highest - lowest).max() / 2
 
         truth = world.landmark_positions()
         rng = np.random.default_rng(2)
@@ -376,9 +387,11 @@ class TestBundleAdjustInternals:
         # The split's default subset size: 1001 frames. The reduced camera
         # system is banded, so the solve must not hold as much as one dense
         # 6F x 6F float64 matrix (289 MB) either. Nor may it hold an array
-        # with a row per observation pair for the whole problem: assembled
-        # one row of chunks at a time, it peaks at about 1,720 bytes per
-        # observation, against 3,650 with every pair's 6x6 product held.
+        # with a row per observation pair for the whole problem, nor two
+        # iterations' normal equations, nor each observation's 6x6 product
+        # between steps: it peaks at about 1,360 bytes per observation,
+        # against 1,900 with the last two held and 3,650 with every pair's
+        # 6x6 product held as well.
         poses, points, tracks_by_id, frames_by_id = self.truth_started_street(6000.0)
         p = 6 * len(poses)
         n_obs = sum(len(track.observations) for track in tracks_by_id.values())
@@ -388,7 +401,36 @@ class TestBundleAdjustInternals:
         assert result.converged
         assert rmse < 1e-8
         assert peak < 8 * p * p
-        assert peak <= 2400 * n_obs
+        assert peak <= 1600 * n_obs
+
+    @staticmethod
+    def upper_ordered_pairs(st):
+        """Every ordered pair (i, j) of observations of one landmark with rank[cam i] <= rank[cam j].
+
+        Built whole, both orders of every pair, then filtered. The pairs run
+        landmark by landmark in landmark order, i-major.
+        """
+        by_land = np.argsort(st.obs_land, kind="stable")
+        sorted_land = st.obs_land[by_land]
+        first = np.searchsorted(sorted_land, sorted_land)
+        count = np.bincount(sorted_land, minlength=st.n_landmarks)[sorted_land]
+        offset = np.arange(count.sum()) - np.repeat(np.cumsum(count) - count, count)
+        pair_i = np.repeat(by_land, count)
+        pair_j = by_land[np.repeat(first, count) + offset]
+        upper = st.rank[st.obs_cam[pair_i]] <= st.rank[st.obs_cam[pair_j]]
+        return pair_i[upper], pair_j[upper]
+
+    def test_kept_pairs_equal_the_filtered_ordered_pairs(self):
+        # BlockStructure builds only the pairs it keeps. Stably sorted by
+        # camera block in the order of S, the filtered ordered pairs must be
+        # the same arrays, so every block of S sums in the same order. On
+        # the two-pass street the order interleaves the two passes' frames.
+        st = self.two_pass_street()[0].structure
+        assert not (st.order[1:] > st.order[:-1]).all()
+        pair_i, pair_j = self.upper_ordered_pairs(st)
+        by_block = np.argsort(st.rank[st.obs_cam[pair_i]] * st.n_cams + st.rank[st.obs_cam[pair_j]], kind="stable")
+        assert np.array_equal(st.pair_i, pair_i[by_block])
+        assert np.array_equal(st.pair_j, pair_j[by_block])
 
     @staticmethod
     def whole_array_step(normal, mu):
@@ -400,18 +442,10 @@ class TestBundleAdjustInternals:
         """
         st = normal.structure
         n_cams, chunk, n_chunks = st.n_cams, st.chunk, st.n_chunks
-        by_land = np.argsort(st.obs_land, kind="stable")
-        sorted_land = st.obs_land[by_land]
-        first = np.searchsorted(sorted_land, sorted_land)
-        count = np.bincount(sorted_land, minlength=st.n_landmarks)[sorted_land]
-        offset = np.arange(count.sum()) - np.repeat(np.cumsum(count) - count, count)
-        pair_i = np.repeat(by_land, count)
-        pair_j = by_land[np.repeat(first, count) + offset]
-        cam_i, cam_j = st.obs_cam[pair_i], st.obs_cam[pair_j]
-        upper = st.rank[cam_i] <= st.rank[cam_j]
-        blocks, block_of_pair = np.unique(cam_i[upper] * n_cams + cam_j[upper], return_inverse=True)
+        pair_i, pair_j = TestBundleAdjustInternals.upper_ordered_pairs(st)
+        blocks, block_of_pair = np.unique(st.obs_cam[pair_i] * n_cams + st.obs_cam[pair_j], return_inverse=True)
         by_block = np.argsort(block_of_pair, kind="stable")
-        pair_i, pair_j = pair_i[upper][by_block], pair_j[upper][by_block]
+        pair_i, pair_j = pair_i[by_block], pair_j[by_block]
         pair_sum = least_squares._SegmentSum(block_of_pair[by_block], blocks.shape[0])
         size = 6 * chunk
 
@@ -512,6 +546,26 @@ class TestBundleAdjustInternals:
         assert result.converged and rmse < 1e-8
         trials = len(result.cost_history) - 1 + result.rejected_steps
         assert result.linear_solves == len(inversions) == trials + 1
+
+    def test_one_set_of_normal_equations_at_a_time(self, monkeypatch):
+        # Each LM iteration forms the normal equations at its point. The
+        # last iteration's set must be let go before the next is formed, so
+        # a solve never holds two.
+        live, held = weakref.WeakSet(), []
+        normal_equations = least_squares._normal_equations
+
+        def tracked(jac, r, row_w):
+            held.append(len(live))
+            normal = normal_equations(jac, r, row_w)
+            live.add(normal)
+            return normal
+
+        monkeypatch.setattr(least_squares, "_normal_equations", tracked)
+        poses, points, tracks_by_id, frames_by_id = self.truth_started_street(150.0)
+        obs = Observations(tracks_by_id.values(), frames_by_id)
+        _, _, result, _ = bundle_adjust(poses, points, obs, frames_by_id, CAMERA)
+        assert result.iterations >= 2
+        assert held == [0] * result.iterations
 
     def test_landmark_columns_are_minus_translation_columns(self):
         problem, x = self.make_problem(behind_camera=True)

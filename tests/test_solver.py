@@ -351,11 +351,11 @@ def test_block_structure_sums_equal_dense_products(n_cams, n_landmarks, n_obs, s
         (i, j) for i in range(obs_cam.size) for j in range(obs_cam.size)
         if obs_land[i] == obs_land[j] and rank[obs_cam[i]] <= rank[obs_cam[j]]
     ]
-    assert sorted(zip(structure.pair_i.tolist(), structure.pair_j.tolist())) == expected_pairs
-    # The pairs run camera block by camera block in the order, and the rows
-    # of the chunks take them in turn.
-    codes = rank[obs_cam[structure.pair_i]] * n_cams + rank[obs_cam[structure.pair_j]]
-    assert (codes[1:] >= codes[:-1]).all()
+    # The pairs run camera block by camera block in the order, and within a
+    # block landmark by landmark, each landmark's pairs as enumerated above;
+    # the rows of the chunks take them in turn.
+    in_order = sorted(expected_pairs, key=lambda ij: (rank[obs_cam[ij[0]]], rank[obs_cam[ij[1]]], obs_land[ij[0]]))
+    assert list(zip(structure.pair_i.tolist(), structure.pair_j.tolist())) == in_order
     for name, k in (("pair_i", 0), ("pair_j", 1)):
         rows = [row[k] for row in structure.rows]
         assert np.array_equal(np.concatenate(rows or [np.zeros(0, dtype=int)]), getattr(structure, name))
