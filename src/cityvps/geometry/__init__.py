@@ -26,7 +26,7 @@ from .reproject import (
     reprojection_errors,
     reprojection_rows,
 )
-from .robust import huber, huber_loss_many, huber_weight_many
+from .robust import huber_loss_many, huber_weight_many
 from .so3 import batch_skew
 
 __all__ = [
@@ -40,7 +40,6 @@ __all__ = [
     "umeyama",
     "umeyama_yaw",
     "yaw_between",
-    "huber",
     "huber_loss_many",
     "huber_weight_many",
     "BlockJacobian",

@@ -7,7 +7,8 @@ solvers; `exp`/`log` use series expansions below 1e-8 rad to stay finite.
 `exp_many` and `right_jacobian_many` are `exp` and `right_jacobian` over
 (n, 3) stacks of rotation vectors, with the same series branch. On one
 vector, `exp` and `right_jacobian` compute their nine entries with `math`:
-there numpy's cost per call outweighs the arithmetic.
+there numpy's cost per call outweighs the arithmetic. `matrix_to_quat_many`
+is `matrix_to_quat` over an (n, 3, 3) stack, row for row the same bytes.
 """
 
 from __future__ import annotations
@@ -216,6 +217,45 @@ def matrix_to_quat(matrix):
             [(m[1, 0] - m[0, 1]) / s, (m[0, 2] + m[2, 0]) / s, (m[1, 2] + m[2, 1]) / s, 0.25 * s]
         )
     return quat_normalize(q)
+
+
+def matrix_to_quat_many(matrices):
+    """`matrix_to_quat` of each of (n,3,3) rotation matrices -> (n,4), row for row the same bytes.
+
+    Each row takes its own branch of `matrix_to_quat`, and only that
+    branch's square root is taken.
+    """
+    m = np.asarray(matrices, dtype=float)
+    n = m.shape[0]
+    m00, m11, m22 = m[:, 0, 0], m[:, 1, 1], m[:, 2, 2]
+    trace = m00 + m11 + m22
+    # The component matrix_to_quat takes from the square root: w, x, y or z.
+    big = np.where(trace > 0.0, 0, np.where((m00 > m11) & (m00 > m22), 1, np.where(m11 > m22, 2, 3)))
+    rows = np.arange(n)
+    radicands = np.stack(
+        [trace + 1.0, 1.0 + m00 - m11 - m22, 1.0 + m11 - m00 - m22, 1.0 + m22 - m00 - m11], axis=1
+    )
+    s = np.sqrt(radicands[rows, big]) * 2.0
+    # pairs[:, a, b]: s times component b of a row whose big component is a.
+    pairs = np.zeros((n, 4, 4))
+    for (a, b), value in (
+        ((0, 1), m[:, 2, 1] - m[:, 1, 2]),
+        ((0, 2), m[:, 0, 2] - m[:, 2, 0]),
+        ((0, 3), m[:, 1, 0] - m[:, 0, 1]),
+        ((1, 2), m[:, 0, 1] + m[:, 1, 0]),
+        ((1, 3), m[:, 0, 2] + m[:, 2, 0]),
+        ((2, 3), m[:, 1, 2] + m[:, 2, 1]),
+    ):
+        pairs[:, a, b] = pairs[:, b, a] = value
+    q = pairs[rows, big] / s[:, None]
+    q[rows, big] = 0.25 * s
+    # quat_normalize of each row; a row with itself through matmul is its dot product.
+    norms = np.sqrt(q[:, None, :] @ q[:, :, None])[:, :, 0]
+    if not norms.all():
+        raise ValueError("zero quaternion")
+    q /= norms
+    q[q[:, 0] < 0.0] *= -1.0
+    return q
 
 
 def quat_from_rotvec(rotvec):

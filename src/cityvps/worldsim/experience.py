@@ -1,4 +1,13 @@
-"""Simulated data-collection sessions with sensor noise."""
+"""Simulated data-collection sessions with sensor noise.
+
+An experience is simulated in arrays: the camera poses, the visibility of
+the landmarks, the GPS fixes, the measured gravity and the INS relative
+rotations are computed once for all its frames. Only the generator's draws
+(dropout, permutation, pixel, descriptor and GPS noise, and the two tilts)
+and the gathers that use them run frame by frame, in the contract's order
+(see `simulate_experience`). Every frame's arrays are byte-identical to
+those of the frame-at-a-time loop that the tests keep as a reference.
+"""
 
 from __future__ import annotations
 
@@ -98,16 +107,18 @@ class Experience:
     platform: str
 
 
-def _camera_orientation(heading: float) -> np.ndarray:
+def _camera_orientation(heading) -> np.ndarray:
     """World rotation of a camera looking horizontally along `heading`.
 
-    Camera axes: +z forward, +x right, +y down; world +z is up.
+    Camera axes: +z forward, +x right, +y down; world +z is up. Headings
+    of shape (...) give rotations of shape (..., 3, 3).
     """
     c, s = np.cos(heading), np.sin(heading)
-    right = np.array([s, -c, 0.0])
-    down = np.array([0.0, 0.0, -1.0])
-    forward = np.array([c, s, 0.0])
-    return np.column_stack([right, down, forward])
+    zero = np.zeros_like(c)
+    right = np.stack([s, -c, zero], axis=-1)
+    down = np.broadcast_to([0.0, 0.0, -1.0], right.shape)
+    forward = np.stack([c, s, zero], axis=-1)
+    return np.stack([right, down, forward], axis=-1)
 
 
 def _resample_path(path: np.ndarray, step: float):
@@ -123,22 +134,22 @@ def _resample_path(path: np.ndarray, step: float):
         return np.array([path[0]]), np.array([0.0]), np.array([0.0])
     n = int(np.floor(total / step + 1e-9)) + 1
     arcs = np.arange(n) * step
-    pts = np.empty((n, 2))
-    headings = np.empty(n)
     idx = np.minimum(np.searchsorted(cum, arcs, side="right") - 1, len(seg_len) - 1)
-    for k, (s_val, i) in enumerate(zip(arcs, idx)):
-        frac = (s_val - cum[i]) / seg_len[i]
-        pts[k] = starts[i] + seg[i] * frac
-        headings[k] = np.arctan2(seg[i][1], seg[i][0])
+    frac = (arcs - cum[idx]) / seg_len[idx]
+    pts = starts[idx] + seg[idx] * frac[:, None]
+    headings = np.arctan2(seg[:, 1], seg[:, 0])[idx]
     return pts, headings, arcs
 
 
-def _small_rotation(rng, sigma_rad: float) -> np.ndarray:
-    if sigma_rad == 0.0:
-        return np.eye(3)
-    axis = rng.normal(size=3)
-    axis /= math.sqrt(axis.dot(axis))  # np.linalg.norm of one vector, without its dispatch
-    return so3.exp(axis * rng.normal(0.0, sigma_rad))
+def _tilts(axes, angles, n: int) -> np.ndarray:
+    """(n, 3, 3) small rotations, each about its drawn axis by its drawn angle; identities when none were drawn."""
+    if not axes:
+        return np.broadcast_to(np.eye(3), (n, 3, 3))
+    axes = np.array(axes)
+    # Each axis over its norm, the norm's square a dot product of the axis
+    # with itself: the same bits as normalising the axes one by one.
+    axes /= np.sqrt(axes[:, None, :] @ axes[:, :, None])[:, :, 0]
+    return np.array([so3.exp(v) for v in axes * np.array(angles)[:, None]])
 
 
 def _visible_landmarks(lm_pos, rotations, positions, sim: SimConfig) -> list:
@@ -201,6 +212,12 @@ def simulate_experience(
     noise, the gravity tilt and the INS relative-rotation tilt. That order,
     on the one generator seeded by (seed, experience_id), is the contract
     that keeps an experience's inputs bit-identical across code changes.
+
+    The loop over frames makes only those draws and the gathers that use
+    them. The rest is computed once for the experience, over arrays: the
+    camera orientations and true poses, the GPS fixes, the measured gravity
+    and the INS relative rotations. Each frame's arrays are byte-identical
+    to those of simulating one frame at a time.
     """
     if platform not in ("vehicle", "pedestrian"):
         raise ValueError(f"unknown platform {platform!r}")
@@ -217,71 +234,77 @@ def simulate_experience(
     if platform == "pedestrian":
         normals = np.column_stack([-np.sin(headings), np.cos(headings)])
         pts = pts + sim.sidewalk_side * sim.sidewalk_offset * normals
+    n = len(pts)
 
     yaw_amp = np.deg2rad(sim.yaw_amplitude_deg)
     ins_sigma = np.deg2rad(noise.ins_rot_noise_deg)
     yaws = headings
     if yaw_amp != 0.0:
-        yaws = [h + (yaw_amp if k % 2 == 0 else -yaw_amp) for k, h in enumerate(headings)]
-    rotations = [_camera_orientation(yaw) for yaw in yaws]
-    positions = np.column_stack([pts, np.full(len(pts), sim.resolved_height(platform))])
+        yaws = headings + np.where(np.arange(n) % 2 == 0, yaw_amp, -yaw_amp)
+    rotations = _camera_orientation(yaws)
+    positions = np.column_stack([pts, np.full(n, sim.resolved_height(platform))])
 
-    lm_pos = world.landmark_positions()
-    lm_desc = world.landmark_descriptors()
-    lm_ids = np.arange(lm_pos.shape[0])  # landmark i is row i
-    cond_offsets = None
-    if condition_value != 0.0 and len(world.landmarks):
-        # World.condition_offset of every landmark.
-        cond_offsets = world.condition_dirs * (condition_value * noise.condition_offset)
-    visible = _visible_landmarks(lm_pos, np.array(rotations), positions, sim)
+    lm_desc = world.descriptors
+    if condition_value != 0.0 and world.positions.shape[0]:
+        # Condition shifts are linear in the condition value, so repeated
+        # experiences in one condition give matchable descriptors.
+        lm_desc = lm_desc + world.condition_dirs * (condition_value * noise.condition_offset)
+    dim = lm_desc.shape[1]
+    desc_scale = noise.descriptor_sigma / math.sqrt(dim) if dim else 0.0
+    visible = _visible_landmarks(world.positions, rotations, positions, sim)
 
-    frames = []
-    prev_rotation = None
-    for k, (rotation, position, (vis_idx, vis_pix)) in enumerate(zip(rotations, positions, visible)):
+    observations, gps_noise, tilt_axes, tilt_angles = [], [], [], []
+    for k, (vis_idx, vis_pix) in enumerate(visible):
         if noise.dropout > 0.0 and len(vis_idx):
             kept = rng.random(len(vis_idx)) >= noise.dropout
             vis_idx, vis_pix = vis_idx[kept], vis_pix[kept]
         order = rng.permutation(len(vis_idx))
-        vis_idx = vis_idx[order]
+        vis_idx = vis_idx[order]  # landmark i is row i: these are the ids
         pixels = vis_pix[order] + rng.normal(0.0, noise.pixel_sigma, size=(len(vis_idx), 2))
         descs = lm_desc[vis_idx]
-        if cond_offsets is not None:
-            descs += cond_offsets[vis_idx]
         if noise.descriptor_sigma > 0.0 and len(vis_idx):
-            dim = descs.shape[1]
-            descs += rng.normal(0.0, noise.descriptor_sigma / np.sqrt(dim), size=descs.shape)
-
-        gps = position + world.gps_bias(position, noise.canyon_amplitude, noise.canyon_wavelength)
+            descs += rng.normal(0.0, desc_scale, size=descs.shape)
+        observations.append((pixels, descs, vis_idx))
         if noise.gps_sigma > 0.0:
-            gps = gps + rng.normal(0.0, noise.gps_sigma, size=3)
-        gps = np.concatenate([gps, [noise.gps_sigma]])
+            gps_noise.append(rng.normal(0.0, noise.gps_sigma, size=3))
+        if ins_sigma != 0.0:
+            for _ in range(2 if k else 1):  # the gravity tilt, then from frame 1 on the INS tilt
+                tilt_axes.append(rng.normal(size=3))
+                tilt_angles.append(rng.normal(0.0, ins_sigma))
 
-        gravity_body = rotation.T @ GRAVITY_WORLD
-        gravity_meas = _small_rotation(rng, ins_sigma) @ gravity_body
-        if prev_rotation is None:
-            rel_rot = np.array([1.0, 0.0, 0.0, 0.0])
-        else:
-            rel = prev_rotation.T @ rotation
-            rel = rel @ _small_rotation(rng, ins_sigma)
-            rel_rot = so3.matrix_to_quat(rel)
-        prev_rotation = rotation
+    gps = np.empty((n, 4))
+    gps[:, :3] = positions + world.gps_bias(positions, noise.canyon_amplitude, noise.canyon_wavelength)
+    if gps_noise:
+        gps[:, :3] += gps_noise
+    gps[:, 3] = noise.gps_sigma
+    # Tilts in draw order: frame 0's gravity, then each later frame's gravity and INS.
+    tilts = _tilts(tilt_axes, tilt_angles, 2 * n - 1)
+    gravity_body = rotations.transpose(0, 2, 1) @ GRAVITY_WORLD
+    gravity = (np.concatenate([tilts[:1], tilts[1::2]]) @ gravity_body[:, :, None])[:, :, 0]
+    rel_rots = np.concatenate(
+        [
+            [[1.0, 0.0, 0.0, 0.0]],
+            so3.matrix_to_quat_many(rotations[:-1].transpose(0, 2, 1) @ rotations[1:] @ tilts[2::2]),
+        ]
+    )
+    true_quats = so3.matrix_to_quat_many(rotations)
 
-        frames.append(
-            Frame(
-                frame_id=experience_id * FRAME_ID_STRIDE + k,
-                experience_id=experience_id,
-                timestamp=k / sim.frame_rate,
-                gps=gps,
-                ins_gravity=gravity_meas,
-                ins_rel_rot=rel_rot,
-                pixels=pixels,
-                descriptors=descs,
-                condition_value=condition_value,
-                true_pose=Pose.from_matrix(rotation, position),
-                landmark_ids=lm_ids[vis_idx],
-            )
+    frames = [
+        Frame(
+            frame_id=experience_id * FRAME_ID_STRIDE + k,
+            experience_id=experience_id,
+            timestamp=k / sim.frame_rate,
+            gps=gps[k],
+            ins_gravity=gravity[k],
+            ins_rel_rot=rel_rots[k],
+            pixels=pixels,
+            descriptors=descs,
+            condition_value=condition_value,
+            true_pose=Pose(true_quats[k], positions[k]),
+            landmark_ids=vis_idx,
         )
-
+        for k, (pixels, descs, vis_idx) in enumerate(observations)
+    ]
     return Experience(
         id=experience_id,
         frames=frames,

@@ -3,22 +3,17 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
 
-class Landmark:
-    """3D localization landmark: world position, descriptor, unique id."""
+class Landmark(NamedTuple):
+    """3D localization landmark: unique id, and views of its rows of World.positions and World.descriptors."""
 
-    __slots__ = ("id", "position", "descriptor")
-
-    def __init__(self, id, position, descriptor):
-        self.id = int(id)
-        self.position = np.asarray(position, dtype=float).reshape(3)
-        self.descriptor = np.asarray(descriptor, dtype=float).ravel()
-
-    def __repr__(self):
-        return f"Landmark(id={self.id}, position={self.position.tolist()})"
+    id: int
+    position: np.ndarray
+    descriptor: np.ndarray
 
 
 class BadConfig(ValueError):
@@ -82,33 +77,21 @@ class World:
     positions: np.ndarray = field(default_factory=lambda: np.zeros((0, 3)))
     descriptors: np.ndarray = field(default_factory=lambda: np.zeros((0, 0)))
 
-    def landmark_positions(self) -> np.ndarray:
-        return self.positions
-
-    def landmark_descriptors(self) -> np.ndarray:
-        return self.descriptors
-
-    def condition_offset(self, landmark_id: int, condition_value: float, scale: float) -> np.ndarray:
-        """Descriptor shift for a landmark seen under a visual condition.
-
-        Linear in the condition value so repeated experiences in one
-        condition always produce matchable descriptors.
-        """
-        return self.condition_dirs[landmark_id] * (condition_value * scale)
-
     def gps_bias(self, position, amplitude: float, wavelength: float = 200.0) -> np.ndarray:
-        """Spatially correlated GPS offset (urban-canyon model)."""
+        """Spatially correlated GPS offset (urban-canyon model) at a position, or at each row of (n, 3) positions."""
+        position = np.asarray(position, dtype=float)
         if amplitude == 0.0:
-            return np.zeros(3)
-        x, y = float(position[0]), float(position[1])
+            return np.zeros(position.shape)
+        x, y = position[..., 0], position[..., 1]
         p1, p2, p3, p4 = self.bias_phases
         k = 2.0 * np.pi / wavelength
-        return amplitude * np.array(
+        return amplitude * np.stack(
             [
                 np.sin(k * x + p1) * np.cos(k * y + p2),
                 np.sin(k * y + p3) * np.cos(k * x + p4),
                 0.3 * np.sin(k * (x + y) + p1 + p3),
-            ]
+            ],
+            axis=-1,
         )
 
 
@@ -165,7 +148,7 @@ def generate_world_from_streets(streets, config: WorldConfig, seed: int) -> Worl
     descriptors.setflags(write=False)
     return World(
         streets=dict(streets),
-        landmarks=[Landmark(k, *row) for k, row in enumerate(zip(positions, descriptors))],
+        landmarks=list(map(Landmark, range(len(positions)), positions, descriptors)),
         seed=seed,
         config=config,
         condition_dirs=condition_dirs,

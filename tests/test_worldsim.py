@@ -37,8 +37,8 @@ class TestGenerateWorld:
         w1 = generate_world(config, seed=7)
         w2 = generate_world(config, seed=7)
         assert len(w1.landmarks) == len(w2.landmarks)
-        assert np.array_equal(w1.landmark_positions(), w2.landmark_positions())
-        assert np.array_equal(w1.landmark_descriptors(), w2.landmark_descriptors())
+        assert np.array_equal(w1.positions, w2.positions)
+        assert np.array_equal(w1.descriptors, w2.descriptors)
 
     def test_zero_extents_rejected(self):
         with pytest.raises(BadConfig):
@@ -47,7 +47,7 @@ class TestGenerateWorld:
     def test_density_count(self):
         # 50 per 100 m on a 200 m street: 100 +/- 10 per side.
         world = single_street_world(length=200.0, density=50.0)
-        positions = world.landmark_positions()
+        positions = world.positions
         per_side_left = int((positions[:, 1] > 0).sum())
         per_side_right = int((positions[:, 1] < 0).sum())
         assert abs(per_side_left - 100) <= 10
@@ -264,13 +264,13 @@ def reference_frames(world, route, *, experience_id, condition_value, noise, pla
         pts = pts + sim.sidewalk_side * sim.sidewalk_offset * normals
     height = sim.resolved_height(platform)
     camera = sim.camera
-    lm_pos = world.landmark_positions()
-    lm_desc = world.landmark_descriptors()
+    lm_pos = world.positions
+    lm_desc = world.descriptors
     lm_ids = np.array([lm.id for lm in world.landmarks])
     cond_offsets = None
     if condition_value != 0.0:
         cond_offsets = np.array(
-            [world.condition_offset(int(i), condition_value, noise.condition_offset) for i in lm_ids]
+            [world.condition_dirs[int(i)] * (condition_value * noise.condition_offset) for i in lm_ids]
         )
     yaw_amp = np.deg2rad(sim.yaw_amplitude_deg)
     ins_sigma = np.deg2rad(noise.ins_rot_noise_deg)
@@ -331,6 +331,29 @@ def reference_frames(world, route, *, experience_id, condition_value, noise, pla
     return frames
 
 
+def reference_resample_path(path, step):
+    """_resample_path with its points and headings computed one frame at a time."""
+    seg = np.diff(path, axis=0)
+    seg_len = np.linalg.norm(seg, axis=1)
+    keep = seg_len > 1e-12
+    seg, seg_len = seg[keep], seg_len[keep]
+    starts = path[:-1][keep]
+    cum = np.concatenate([[0.0], np.cumsum(seg_len)])
+    total = cum[-1]
+    if total == 0.0:
+        return np.array([path[0]]), np.array([0.0]), np.array([0.0])
+    n = int(np.floor(total / step + 1e-9)) + 1
+    arcs = np.arange(n) * step
+    pts = np.empty((n, 2))
+    headings = np.empty(n)
+    idx = np.minimum(np.searchsorted(cum, arcs, side="right") - 1, len(seg_len) - 1)
+    for k, (s_val, i) in enumerate(zip(arcs, idx)):
+        frac = (s_val - cum[i]) / seg_len[i]
+        pts[k] = starts[i] + seg[i] * frac
+        headings[k] = np.arctan2(seg[i][1], seg[i][0])
+    return pts, headings, arcs
+
+
 def same_bytes(a, b):
     a, b = np.asarray(a), np.asarray(b)
     return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
@@ -355,8 +378,13 @@ class TestBitIdenticalInputs:
             (1.0, NoiseConfig(), "vehicle", SimConfig()),
             (0.0, NoiseConfig(dropout=0.3), "pedestrian", SimConfig()),
             (0.0, NoiseConfig(), "vehicle", SimConfig(yaw_amplitude_deg=0.0)),
+            # Draws skipped mid-loop keep the stream's order.
+            (0.0, NoiseConfig(ins_rot_noise_deg=0.0), "vehicle", SimConfig()),
+            (0.0, NoiseConfig(gps_sigma=0.0, descriptor_sigma=0.0), "vehicle", SimConfig()),
+            # The benchmark's settings (perfbench/scenarios.py).
+            (0.0, NoiseConfig(canyon_amplitude=0.0), "vehicle", SimConfig(speed=6.0)),
         ],
-        ids=["day", "night", "pedestrian-dropout", "no-yaw"],
+        ids=["day", "night", "pedestrian-dropout", "no-yaw", "no-ins-noise", "no-gps-or-descriptor-noise", "benchmark"],
     )
     def test_frames(self, condition_value, noise, platform, sim):
         world = grid_world()
@@ -376,6 +404,20 @@ class TestBitIdenticalInputs:
             assert same_bytes(frame.true_pose.t, ref["t"])
             observed += frame.n_observations
         assert observed > 10 * len(reference)
+
+
+@pytest.mark.parametrize(
+    "path, step",
+    [
+        (route_path(grid_world(), GRID_ROUTE), 6.0),
+        (np.array([[3.0, -1.0], [40.0, 17.5], [40.0, 17.5], [-12.0, 60.25], [-80.0, 61.0]]), 2.75),
+        (np.array([[5.0, 5.0], [5.0, 5.0]]), 1.0),
+    ],
+    ids=["grid-route", "zero-length-segment", "zero-length-path"],
+)
+def test_resample_path_equals_the_frame_loop(path, step):
+    for got, ref in zip(_resample_path(path, step), reference_resample_path(path, step), strict=True):
+        assert same_bytes(got, ref)
 
 
 class TestOracle:
