@@ -1,36 +1,35 @@
-"""Rigid fusion of verified submaps into one geo-aligned global map.
+"""Fusion of verified submaps into one geo-aligned global map.
 
-Each submap gets a 7DoF similarity transform. The joint objective couples
-submaps through frames reconstructed in more than one of them (position
-difference plus a rotation-consistency term) and anchors everything to the
-GPS priors of the reconstructed frames.
+Each submap gets a similarity transform that turns it about +z only:
+p -> s R_z(yaw) p + t, four degrees of freedom. Bundle adjustment's gravity
+rows have already levelled every submap, so its roll and pitch are known
+and fusion leaves them alone, as the 4-DoF pose graph of Qin et al.,
+"VINS-Mono" (T-RO 2018) does. The joint objective couples submaps through
+the positions of frames reconstructed in more than one of them and anchors
+everything to the GPS priors of the reconstructed frames.
 
 One constructor assembles a fusion problem: ``_FusionProblem(submaps)``
 takes the submaps it fuses and builds its link pairs (``collect_links``),
 its GPS rows (``_gps_rows``) and, in ``start()``, each submap's starting
-transform: the closed-form alignment of its camera positions onto its GPS
-fixes, or the identity when it has fewer than three. The objective is a
-sum of independent terms over the connected components of the link graph
-(submaps joined by shared frames), so ``fuse`` makes one problem per
+transform: the closed-form yaw, shift and scale of its camera positions
+onto its GPS fixes (``umeyama_yaw``, bundle adjustment's gauge rule),
+which is the identity for a submap with one fix or none. The objective is
+a sum of independent terms over the connected components of the link
+graph (submaps joined by shared frames), so ``fuse`` makes one problem per
 component and solves it by Levenberg-Marquardt from its start, and makes
 one more of all the submaps for the report.
 
 Each submap turns and scales about its own camera centroid c_k: the solver
-sees fused = s R (p - c_k) + t', and ``pack``/``unpack`` convert to and from
-the transform p -> s R p + t with t = t' - s R c_k. Turned about the world
-origin, hundreds of metres away, a rotation step would move a submap almost
-as a translation step does, and LM would crawl along that near-degenerate
-direction (Triggs et al., "Bundle Adjustment - A Modern Synthesis", 1999,
-on gauge and parameterisation). What remains is
-the roll of a submap about its own street, which nothing but GPS noise
-pins: along it the cost is nearly flat, so where the solver's stop on small
-relative cost decrease ends sets the fused roll and with it the map's
-orientation error. An orientation term that anchors roll to gravity would
-remove that mode.
+sees fused = s R_z (p - c_k) + t', and ``pack``/``unpack`` convert to and
+from the transform p -> s R_z p + t with t = t' - s R_z c_k. Turned about
+the world origin, hundreds of metres away, a yaw step would move a submap
+almost as a translation step does, and LM would crawl along that
+near-degenerate direction (Triggs et al., "Bundle Adjustment - A Modern
+Synthesis", 1999, on gauge and parameterisation).
 
-So the map is a function of its submaps alone: the weights, the tile size
-and the iteration budget are module constants, and each GPS fix is weighted
-by ``sfm.gps_weight``, as in bundle adjustment. Building, updating and
+So the map is a function of its submaps alone: the tile size and the
+iteration budget are module constants, and each GPS fix is weighted by
+``sfm.gps_weight``, as in bundle adjustment. Building, updating and
 removing edit the set of submaps and fuse it afresh. A component that an
 update does not touch is solved again from the same inputs and gets the
 same transforms bit for bit.
@@ -43,13 +42,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import Pose, Sim3, batch_skew, so3, solve_least_squares, umeyama
+from .geometry import Pose, Sim3, solve_least_squares, umeyama_yaw
 from .geometry.graph import components
 from .mapbuild.sfm import gps_weight
 from .mapbuild.types import SolverDiverged, Submap
 
 
-ROTATION_WEIGHT = 1.0  # meters of residual per radian of disagreement
 TILE_SIZE = 100.0  # m, side of a geo tile
 BOUNDING_MARGIN = 20.0  # m added to a submap's bounding circle
 # Each component is solved by Levenberg-Marquardt from the GPS alignment
@@ -134,15 +132,16 @@ def _gps_rows(submaps):
 
 
 class _FusionProblem:
-    """Residuals/Jacobian over stacked [rotvec, t', log s] per submap.
+    """Residuals/Jacobian over stacked [yaw, t', log s] per submap.
 
     Built from the submaps it fuses, in id order. A submap's fused position
-    of p is s R (p - c_k) + t', about its camera centroid c_k (``pack``,
-    ``unpack``). Per pair of submaps
-    sharing a frame (``collect_links``): the difference of the frame's
-    fused positions, then ``ROTATION_WEIGHT`` times the log of the relative
-    rotation of its fused orientations. Per GPS-anchored frame after all
-    pairs (``_gps_rows``): ``sqrt(w) * (fused position - gps)``.
+    of p is s R_z(yaw) (p - c_k) + t', about its camera centroid c_k
+    (``pack``, ``unpack``). Bundle adjustment's gravity rows have already
+    levelled each submap, so only a turn about +z, a shift and a scale are
+    left to fuse. Per pair of submaps sharing a frame (``collect_links``):
+    the difference of the frame's fused positions. Per GPS-anchored frame
+    after all pairs (``_gps_rows``): ``sqrt(w) * (fused position - gps)``.
+    Every row is one of a 3-row point block.
     """
 
     def __init__(self, submaps):
@@ -151,7 +150,7 @@ class _FusionProblem:
         self.n = len(self.ids)
         index = {sid: i for i, sid in enumerate(self.ids)}
         pairs = [
-            (index[sk], index[sl], pk.t, pl.t, pk.rotation, pl.rotation, link.frame_id)
+            (index[sk], index[sl], pk.t, pl.t, link.frame_id)
             for link in collect_links(submaps)
             for (sk, pk), (sl, pl) in itertools.combinations(link.entries, 2)
         ]
@@ -162,100 +161,88 @@ class _FusionProblem:
 
         self.pair_k, self.pair_l = column(pairs, 0, -1, int), column(pairs, 1, -1, int)
         self.pos_k, self.pos_l = column(pairs, 2, (-1, 3)), column(pairs, 3, (-1, 3))
-        self.rot_k, self.rot_l = column(pairs, 4, (-1, 3, 3)), column(pairs, 5, (-1, 3, 3))
-        self.pair_frames = [row[6] for row in pairs]
+        self.pair_frames = [row[4] for row in pairs]
         self.gps_idx = column(gps, 0, -1, int)
-        self.gps_pos, self.gps_xyz = column(gps, 1, (-1, 3)), column(gps, 2, (-1, 3))
+        self.gps_cams, self.gps_xyz = column(gps, 1, (-1, 3)), column(gps, 2, (-1, 3))
         self.gps_sw = column(gps, 3, -1)
-        # Each submap turns and scales about its camera centroid c_k.
+        # Each submap turns and scales about its camera centroid c_k;
+        # start() fits the uncentred positions of the fixes, gps_cams.
         self.centroids = np.array([sm.positions().mean(axis=0) for sm in submaps]).reshape(-1, 3)
         self.pos_k -= self.centroids[self.pair_k]
         self.pos_l -= self.centroids[self.pair_l]
-        self.gps_pos -= self.centroids[self.gps_idx]
+        self.gps_pos = self.gps_cams - self.centroids[self.gps_idx]
 
     def start(self) -> dict:
         """{submap_id: Sim3}: each submap's camera positions aligned onto its GPS fixes.
 
-        The closed-form ``umeyama`` alignment of a submap's centred
-        positions when it has three or more fixes; the identity for one
-        with fewer.
+        ``umeyama_yaw`` of its own positions, uncentred, under the GPS
+        weights: bundle adjustment's gauge rule. A submap with one fix or
+        none starts at the identity.
         """
         transforms = {}
         for i, sid in enumerate(self.ids):
             mine = self.gps_idx == i
-            if np.count_nonzero(mine) >= 3:
-                fit = umeyama(self.gps_pos[mine], self.gps_xyz[mine], with_scale=True)
-                transforms[sid] = Sim3(fit.q, fit.t - fit.s * fit.rotation @ self.centroids[i], fit.s)
-            else:
-                transforms[sid] = Sim3.identity()
+            transforms[sid] = umeyama_yaw(self.gps_cams[mine], self.gps_xyz[mine], self.gps_sw[mine] ** 2)
         return transforms
 
     def pack(self, transforms: dict) -> np.ndarray:
-        """Parameters [rotvec, t + s R c_k, log s] of each submap's transform p -> s R p + t."""
-        x = np.concatenate([transforms[sid].params() for sid in self.ids]).reshape(self.n, 7)
-        x[:, 3:6] += np.exp(x[:, 6:]) * np.einsum("nij,nj->ni", self._rotations(x), self.centroids)
+        """Parameters [yaw, t + s R_z c_k, log s] of each submap's transform p -> s R_z p + t."""
+        fits = [transforms[sid] for sid in self.ids]
+        x = np.array([[2.0 * np.arctan2(g.q[3], g.q[0]), *g.t, np.log(g.s)] for g in fits]).reshape(self.n, 5)
+        x[:, 1:4] += self._turned(x, np.arange(self.n), self.centroids)
         return x.ravel()
 
     def unpack(self, x) -> dict:
-        x = np.reshape(x, (self.n, 7)).copy()
-        x[:, 3:6] -= np.exp(x[:, 6:]) * np.einsum("nij,nj->ni", self._rotations(x), self.centroids)
-        return {sid: Sim3.from_params(x[i]) for i, sid in enumerate(self.ids)}
+        x = np.reshape(x, (self.n, 5)).copy()
+        x[:, 1:4] -= self._turned(x, np.arange(self.n), self.centroids)
+        return {
+            sid: Sim3([np.cos(0.5 * yaw), 0.0, 0.0, np.sin(0.5 * yaw)], t, np.exp(log_s))
+            for sid, (yaw, *t, log_s) in zip(self.ids, x)
+        }
 
-    def _rotations(self, x):
-        return np.array([so3.exp(v) for v in np.reshape(x, (self.n, 7))[:, :3]])
+    def _turned(self, x, idx, arms):
+        """s R_z(yaw) a for each arm a, by the parameters of submap idx."""
+        x = np.reshape(x, (self.n, 5))[idx]
+        c, s = np.cos(x[:, 0]), np.sin(x[:, 0])
+        ax, ay, az = arms.T
+        return np.exp(x[:, 4])[:, None] * np.column_stack([c * ax - s * ay, s * ax + c * ay, az])
 
-    def offsets(self, x, rots=None):
+    def offsets(self, x):
         """Fused position differences per pair and fused minus GPS position per fix."""
-        if rots is None:
-            rots = self._rotations(x)
-        x = np.reshape(x, (self.n, 7))
+        t = np.reshape(x, (self.n, 5))[:, 1:4]
 
-        def fused(idx, pts):
-            return np.exp(x[idx, 6])[:, None] * np.einsum("nij,nj->ni", rots[idx], pts) + x[idx, 3:6]
+        def fused(idx, arms):
+            return self._turned(x, idx, arms) + t[idx]
 
         links = fused(self.pair_k, self.pos_k) - fused(self.pair_l, self.pos_l)
         return links, fused(self.gps_idx, self.gps_pos) - self.gps_xyz
 
     def residuals(self, x):
-        rots = self._rotations(x)
-        links, gps = self.offsets(x, rots)
-        q = rots[self.pair_k] @ self.rot_k @ np.swapaxes(rots[self.pair_l] @ self.rot_l, 1, 2)
-        rot = ROTATION_WEIGHT * np.array([so3.log(m) for m in q]).reshape(-1, 3)
-        return np.concatenate([np.hstack([links, rot]).ravel(), (self.gps_sw[:, None] * gps).ravel()])
+        links, gps = self.offsets(x)
+        return np.concatenate([links.ravel(), (self.gps_sw[:, None] * gps).ravel()])
 
     def jacobian(self, x):
-        rots = self._rotations(x)
-        xs = np.reshape(x, (self.n, 7))
-        jrs = np.array([so3.right_jacobian(v) for v in xs[:, :3]])
         n_pairs = len(self.pair_k)
-        jac = np.zeros((6 * n_pairs + 3 * len(self.gps_idx), 7 * self.n))
+        jac = np.zeros((3 * n_pairs + 3 * len(self.gps_idx), 5 * self.n))
 
-        def point_blocks(rows, idx, pts, weight):
-            # d/d[rotvec, t, log s] of weight * (s R p + t), one 3-row block per point.
+        def point_blocks(rows, idx, arms, weight):
+            # d/d[yaw, t', log s] of weight * (s R_z a + t'), one 3-row block per point.
             r = rows[:, None] + np.arange(3)
-            c = 7 * idx[:, None]
-            ws = weight * np.exp(xs[idx, 6])
-            jac[r[:, :, None], c[:, :, None] + np.arange(3)] = (
-                -ws[:, None, None] * rots[idx] @ batch_skew(pts) @ jrs[idx]
-            )
-            jac[r, c + 3 + np.arange(3)] = weight[:, None]
-            jac[r, c + 6] = ws[:, None] * np.einsum("nij,nj->ni", rots[idx], pts)
+            c = 5 * idx[:, None]
+            turned = weight[:, None] * self._turned(x, idx, arms)
+            jac[r[:, :2], c] = np.column_stack([-turned[:, 1], turned[:, 0]])
+            jac[r, c + 1 + np.arange(3)] = weight[:, None]
+            jac[r, c + 4] = turned
 
-        link_rows = 6 * np.arange(n_pairs)
+        link_rows = 3 * np.arange(n_pairs)
         point_blocks(link_rows, self.pair_k, self.pos_k, np.ones(n_pairs))
         point_blocks(link_rows, self.pair_l, self.pos_l, -np.ones(n_pairs))
-        point_blocks(6 * n_pairs + 3 * np.arange(len(self.gps_idx)), self.gps_idx, self.gps_pos, self.gps_sw)
-        w = ROTATION_WEIGHT
-        for row, ik, il, rk, rl in zip(link_rows + 3, self.pair_k, self.pair_l, self.rot_k, self.rot_l):
-            y = rk @ (rots[il] @ rl).T  # Q = R_k Y with Y fixed by the frames
-            jinv = so3.right_jacobian_inv(so3.log(rots[ik] @ y))
-            jac[row : row + 3, 7 * ik : 7 * ik + 3] = w * jinv @ y.T @ jrs[ik]
-            jac[row : row + 3, 7 * il : 7 * il + 3] = -w * jinv @ rots[il] @ jrs[il]
+        point_blocks(3 * n_pairs + 3 * np.arange(len(self.gps_idx)), self.gps_idx, self.gps_pos, self.gps_sw)
         return jac
 
 
 def fuse(submaps):
-    """Jointly estimate one Sim3 per submap; returns (transforms, report).
+    """Jointly estimate one Sim3 per submap, turned about +z only; returns (transforms, report).
 
     The submaps are linked by the frames they share (``collect_links``).
     Each connected component of the link graph is its own

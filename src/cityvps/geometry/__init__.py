@@ -13,7 +13,7 @@ from .least_squares import (
     robust_cost,
     solve_least_squares,
 )
-from .pose import GRAVITY_WORLD, Pose, Sim3, umeyama, umeyama_yaw, yaw_between
+from .pose import GRAVITY_WORLD, Pose, Sim3, umeyama_yaw, yaw_between
 from .reproject import (
     BEHIND_RESIDUAL,
     LastEvaluation,
@@ -37,7 +37,6 @@ __all__ = [
     "GRAVITY_WORLD",
     "Pose",
     "Sim3",
-    "umeyama",
     "umeyama_yaw",
     "yaw_between",
     "huber_loss_many",

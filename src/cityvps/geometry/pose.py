@@ -134,50 +134,6 @@ class Sim3:
         qinv = so3.quat_conjugate(self.q)
         return Sim3(qinv, -so3.quat_rotate(qinv, self.t) / self.s, 1.0 / self.s)
 
-    def params(self) -> np.ndarray:
-        """7-vector [rotvec, t, log s] used by the fusion solver."""
-        return np.concatenate([so3.quat_to_rotvec(self.q), self.t, [np.log(self.s)]])
-
-    @staticmethod
-    def from_params(p) -> "Sim3":
-        p = np.asarray(p, dtype=float)
-        return Sim3(so3.quat_from_rotvec(p[:3]), p[3:6], float(np.exp(p[6])))
-
-
-def umeyama(src, dst, with_scale=True):
-    """Closed-form similarity aligning src points onto dst (least squares).
-
-    Returns the Sim3 (or rigid transform when with_scale is False) minimizing
-    sum ||dst_i - (s R src_i + t)||^2. Needs >= 3 non-degenerate points for a
-    unique rotation; degenerate inputs still return a best-effort transform.
-    """
-    src = np.asarray(src, dtype=float)
-    dst = np.asarray(dst, dtype=float)
-    if src.shape != dst.shape or src.ndim != 2 or src.shape[1] != 3:
-        raise ValueError("umeyama expects matching (n,3) arrays")
-    n = src.shape[0]
-    if n == 0:
-        return Sim3.identity()
-    mu_s = src.mean(axis=0)
-    mu_d = dst.mean(axis=0)
-    xs = src - mu_s
-    xd = dst - mu_d
-    cov = xd.T @ xs / n
-    u, d, vt = np.linalg.svd(cov)
-    sgn = np.eye(3)
-    if np.linalg.det(u) * np.linalg.det(vt) < 0.0:
-        sgn[2, 2] = -1.0
-    rotation = u @ sgn @ vt
-    if with_scale:
-        var_s = (xs * xs).sum() / n
-        scale = float((d * np.diag(sgn)).sum() / var_s) if var_s > 0.0 else 1.0
-        if not np.isfinite(scale) or scale <= 0.0:
-            scale = 1.0
-    else:
-        scale = 1.0
-    t = mu_d - scale * rotation @ mu_s
-    return Sim3(so3.matrix_to_quat(rotation), t, scale)
-
 
 def yaw_between(src, dst) -> float:
     """Yaw ψ about +z that best turns the horizontal parts of `src`'s rows onto those of `dst`.

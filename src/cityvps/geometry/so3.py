@@ -20,11 +20,6 @@ import numpy as np
 _SMALL_ANGLE = 1e-8
 
 
-def skew(v):
-    x, y, z = np.asarray(v, dtype=float).tolist()
-    return np.array([[0.0, -z, y], [z, 0.0, -x], [-y, x, 0.0]])
-
-
 def _norm(v) -> float:
     """np.linalg.norm of a 1-D array, without its dispatch."""
     return math.sqrt(v.dot(v))
@@ -139,18 +134,6 @@ def right_jacobian_many(rotvecs):
     c1 = np.where(small, 0.5, 2.0 * (np.sin(0.5 * a) / a) ** 2)
     c2 = np.where(small, 1.0 / 6.0, (a - np.sin(a)) / (a2 * a))
     return np.eye(3) - c1[:, None, None] * k + c2[:, None, None] * k2
-
-
-def right_jacobian_inv(rotvec):
-    rotvec = np.asarray(rotvec, dtype=float)
-    angle = _norm(rotvec)
-    k = skew(rotvec)
-    k2 = k @ k
-    if angle < _SMALL_ANGLE:
-        return np.eye(3) + 0.5 * k + k2 / 12.0
-    a2 = angle * angle
-    c = (1.0 / a2) - (1.0 + np.cos(angle)) / (2.0 * angle * np.sin(angle))
-    return np.eye(3) + 0.5 * k + c * k2
 
 
 def quat_normalize(q):

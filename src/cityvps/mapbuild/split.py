@@ -37,6 +37,8 @@ def split_experience(
     frames = experience.frames
     if not frames:
         raise ValueError("cannot split an empty experience")
+    if max_size < 1:
+        raise ValueError(f"max_size must be at least 1, got {max_size}")
     rng = np.random.default_rng([seed, experience.id])
     gps = np.array([f.gps[:2] for f in frames])
     ids = [f.frame_id for f in frames]
@@ -46,10 +48,8 @@ def split_experience(
     start = 0
     prev_overlap_ids: list = []
     while start < n:
-        end = start
         # Grow by count first.
-        while end < n and (end - start) < max_size:
-            end += 1
+        end = min(n, start + max_size)
         # Keep extending the region until the minimum radius is met (the
         # experience may simply be shorter).
         _, radius = _circle(gps[start:end])

@@ -160,7 +160,7 @@ def generate_world_from_streets(streets, config: WorldConfig, seed: int) -> Worl
 
 def generate_world(config: WorldConfig, seed: int) -> World:
     """Deterministic street-grid world for a fixed config and seed."""
-    config.validate()
+    config.validate()  # before _grid_streets divides by the street spacing
     return generate_world_from_streets(_grid_streets(config), config, seed)
 
 

@@ -21,7 +21,6 @@ from cityvps.geometry import (
     refine_pose,
     reprojection_errors,
     so3,
-    umeyama,
     umeyama_yaw,
 )
 from cityvps.geometry import reproject
@@ -95,14 +94,6 @@ class TestSim3:
         with pytest.raises(ValueError):
             Sim3(np.array([1.0, 0, 0, 0]), np.zeros(3), 0.0)
 
-    def test_params_roundtrip(self):
-        rng = np.random.default_rng(6)
-        s = random_sim3(rng)
-        s2 = Sim3.from_params(s.params())
-        assert np.allclose(s.q, s2.q, atol=1e-12)
-        assert np.allclose(s.t, s2.t, atol=1e-12)
-        assert abs(s.s - s2.s) < 1e-12
-
     @given(angles, angles, angles, coords, coords, coords, scales, coords, coords, coords)
     @settings(max_examples=100, deadline=None)
     def test_group_law_hypothesis(self, r1, r2, r3, t1, t2, t3, s, x1, x2, x3):
@@ -135,12 +126,6 @@ class TestRotations:
             lhs = so3.exp(v + d)
             rhs = so3.exp(v) @ so3.exp(so3.right_jacobian(v) @ d)
             assert np.allclose(lhs, rhs, atol=1e-10)
-
-    def test_right_jacobian_inverse(self):
-        rng = np.random.default_rng(10)
-        for _ in range(20):
-            v = rng.normal(size=3)
-            assert np.allclose(so3.right_jacobian(v) @ so3.right_jacobian_inv(v), np.eye(3), atol=1e-9)
 
 
 class TestProjection:
@@ -337,8 +322,11 @@ class TestBatchedRotations:
             assert np.abs(jr - so3.right_jacobian(v)).max() < 1e-12
 
     def test_batch_skew_matches_skew(self):
-        v = np.random.default_rng(3).normal(size=(5, 3))
-        assert np.array_equal(so3.batch_skew(v), np.array([so3.skew(row) for row in v]))
+        # Each row's skew matrix K is antisymmetric, with K w = v x w.
+        v, w = np.random.default_rng(3).normal(size=(2, 5, 3))
+        k = so3.batch_skew(v)
+        assert np.array_equal(k, -np.swapaxes(k, 1, 2))
+        np.testing.assert_allclose((k @ w[:, :, None])[:, :, 0], np.cross(v, w), rtol=0.0, atol=1e-12)
 
     def test_matrix_to_quat_many_matches_scalar_bytes(self):
         rng = np.random.default_rng(8)
@@ -406,24 +394,6 @@ class TestHuber:
         below, _ = huber(delta - eps, delta)
         above, _ = huber(delta + eps, delta)
         assert abs(below - above) < delta * 1e-6
-
-
-class TestUmeyama:
-    def test_exact_recovery(self):
-        rng = np.random.default_rng(12)
-        truth = random_sim3(rng)
-        src = rng.normal(scale=5.0, size=(20, 3))
-        dst = truth.apply_many(src)
-        est = umeyama(src, dst)
-        assert np.allclose(est.apply_many(src), dst, atol=1e-9)
-        assert abs(est.s - truth.s) < 1e-9
-
-    def test_rigid_mode_keeps_unit_scale(self):
-        rng = np.random.default_rng(13)
-        src = rng.normal(size=(10, 3))
-        dst = 2.0 * src
-        est = umeyama(src, dst, with_scale=False)
-        assert est.s == 1.0
 
 
 class TestUmeyamaYaw:

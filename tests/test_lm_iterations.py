@@ -7,7 +7,7 @@ alone: this test runs one city-turns pass on the benchmark's own inputs
 (``perfbench.scenarios``) and bounds the iterations that bundle adjustment
 (``sfm.solve_least_squares``), registration (``reproject.solve_least_squares``)
 and fusion (``fusion.solve_least_squares``) take. The bounds leave room above
-the counts they guard (BA 171, registration 872, fusion 16) for rounding
+the counts they guard (BA 171, registration 872, fusion 6) for rounding
 that differs between hosts. The BA and fusion bounds sit well below the
 counts of solves started off their GPS gauge (BA 307, fusion 86), and the
 registration bound below the 959 of starts chained along the INS from the
@@ -27,7 +27,7 @@ from perfbench.tracing import Tracer
 
 BA_ITERATIONS_MAX = 230
 PNP_ITERATIONS_MAX = 930
-FUSION_ITERATIONS_MAX = 30
+FUSION_ITERATIONS_MAX = 12
 
 
 def test_city_turns_pass_stays_within_its_lm_iterations(monkeypatch):

@@ -19,7 +19,7 @@ from cityvps.geometry import (
     huber_weight_many,
     numeric_jacobian,
     so3,
-    umeyama,
+    umeyama_yaw,
 )
 from cityvps.geometry import least_squares
 from cityvps.geometry.least_squares import _normal_equations, _row_weights
@@ -80,12 +80,10 @@ class TestZeroNoise:
         tru = np.array([frames_by_id[f].true_pose.t for f in fids])
         # Absolute positions (GPS term active): within 1e-4 m.
         assert np.abs(est - tru).max() < 1e-4
-        # After optimal rigid alignment: 1e-6 m.
-        align = umeyama(est, tru, with_scale=False)
+        # After the optimal alignment in yaw, shift and scale: 1e-6 m.
+        align = umeyama_yaw(est, tru, np.ones(len(est)))
         assert np.linalg.norm(align.apply_many(est) - tru, axis=1).max() < 1e-6
-        # Orientations against the truth directly, 1e-6 rad: the positions of
-        # a straight street are collinear, so the alignment's roll about the
-        # street axis is set by rounding and cannot carry this check.
+        # Orientations against the truth directly: 1e-6 rad.
         for f in fids:
             assert so3.geodesic_angle(submap.poses[f].q, frames_by_id[f].true_pose.q) < 1e-6
 

@@ -109,6 +109,11 @@ class TestSplit:
         with pytest.raises(ValueError):
             split_experience(make_experience([]))
 
+    @pytest.mark.parametrize("max_size", [0, -3])
+    def test_nonpositive_max_size_rejected(self, max_size):
+        with pytest.raises(ValueError, match="max_size"):
+            split_experience(make_experience([(k, 0.0) for k in range(10)]), max_size=max_size)
+
     def test_deterministic(self):
         rng = np.random.default_rng(5)
         positions = rng.uniform(0, 12, size=(3000, 2))

@@ -44,6 +44,10 @@ class TestGenerateWorld:
         with pytest.raises(BadConfig):
             generate_world(WorldConfig(extent_x=0.0), seed=1)
 
+    def test_zero_street_spacing_rejected(self):
+        with pytest.raises(BadConfig):
+            generate_world(WorldConfig(street_spacing=0.0), seed=1)
+
     def test_density_count(self):
         # 50 per 100 m on a 200 m street: 100 +/- 10 per side.
         world = single_street_world(length=200.0, density=50.0)
